@@ -65,8 +65,8 @@ class RunConfig:
     def validate(self) -> None:
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
-        if self.mass <= 0.0:
-            raise DomainError("mass must be positive")
+        if not (math.isfinite(self.mass) and self.mass > 0.0):
+            raise DomainError(f"mass must be positive and finite, got {self.mass}")
         self.spec()  # grid validation
 
 
@@ -143,17 +143,23 @@ def _header(config: RunConfig) -> str:
             f"# grid: h={h:.17g}\n")
 
 
-def _write(config: RunConfig, stem: str, csv_text: str, json_obj) -> str:
+def _write(config: RunConfig, stem: str, to_csv, to_json) -> str:
+    """Write one table in the configured format.
+
+    to_csv and to_json return the CSV body and the JSON payload; only
+    the one for config.format is called, since a long trace is costly
+    to format.
+    """
     os.makedirs(config.out, exist_ok=True)
     if config.format == "csv":
         path = os.path.join(config.out, stem + ".csv")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(_header(config))
-            fh.write(csv_text)
+            fh.write(to_csv())
     else:
         path = os.path.join(config.out, stem + ".json")
         payload = {"version": __version__, "grid_spacing": config.spec().spacing}
-        payload.update(json_obj)
+        payload.update(to_json())
         with open(path, "w", encoding="utf-8") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
             fh.write("\n")
@@ -210,6 +216,9 @@ def _state_json(state) -> dict:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
+    if config.edges != 3:
+        raise DomainError(
+            f"the acceptance battery runs on the 3-edge star, got --edges {config.edges}")
     results = run_acceptance(mass_value=config.mass, length=config.length,
                              points=config.points, dt=config.dt,
                              t_final=config.t_final, seed=config.seed)
@@ -246,7 +255,7 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     else:
         values = _parse_values(args.m1 or _DEFAULT_RANGES["minseq"])
         scan = minimizing_sequence_demo(config.mass, values, spec)
-    path = _write(config, f"scan_{curve}", scan.to_csv(), _scan_json(scan))
+    path = _write(config, f"scan_{curve}", scan.to_csv, lambda: _scan_json(scan))
     print(f"{curve} scan over {len(values)} values: {path}")
     return 0
 
@@ -263,8 +272,8 @@ def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
     if tail > 1e-8 * peak:
         print(f"warning: profile tail {tail:.3g} exceeds 1e-8 of peak; "
               f"consider a larger --length", file=sys.stderr)
-    path = _write(config, f"profile_{args.kind}", state_to_csv(state),
-                  _state_json(state))
+    path = _write(config, f"profile_{args.kind}", lambda: state_to_csv(state),
+                  lambda: _state_json(state))
     print(f"{args.kind} profile ({spec.edge_count} edges x {spec.points_per_edge} "
           f"points): {path}")
     return 0
@@ -296,14 +305,13 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         start = deposit_perturbation(config.mass, spec, fraction)
     else:
         start = dilation_family(config.mass, 1.0 + fraction, spec)
-    stalled = False
     try:
         _, trace = gradient_flow_fixed_mass(start, step=args.step,
                                             max_iters=args.max_iters,
                                             grad_tol=args.grad_tol)
     except StallError as exc:
         trace = exc.trace
-        stalled = True
+    stalled = trace.metadata["stop_reason"] == "stalled"
     final_energy = float(trace.energies[-1])
     infimum = energy_infimum(config.mass)
     summary = {
@@ -315,8 +323,9 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         "stationary_energy": -(config.mass ** 3) / 216.0,
         "final_grad_norm": float(trace.extras["grad_norm"][-1]),
         "stalled": stalled,
+        **trace.metadata,
     }
-    trace_path = _write(config, "flow_trace", trace.to_csv(), _trace_json(trace))
+    trace_path = _write(config, "flow_trace", trace.to_csv, lambda: _trace_json(trace))
     summary_path = _write_json(config, "flow_summary.json", summary)
     print(f"flow ({summary['perturbation']}): {summary['iterations']} iterations, "
           f"final energy {final_energy:.6g}, gap to infimum "
@@ -348,9 +357,9 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
         "final_energy": energy(final).total,
         "dt": config.dt,
         "t_final": config.t_final,
-        "steps": int(round(config.t_final / abs(config.dt))),
+        "steps": evo.steps,
     }
-    trace_path = _write(config, "evolve_trace", trace.to_csv(), _trace_json(trace))
+    trace_path = _write(config, "evolve_trace", trace.to_csv, lambda: _trace_json(trace))
     summary_path = _write_json(config, "evolve_summary.json", summary)
     print(f"evolve ({args.initial}): measured omega {summary['measured_omega']:.6g}, "
           f"mass drift {summary['mass_drift']:.3g}, "

@@ -15,6 +15,7 @@ the recorded phase arg<Psi(0), Psi(t)> grows linearly with slope omega.
 from __future__ import annotations
 
 import io
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -37,7 +38,8 @@ class EvolutionConfig:
 
     dt may be negative to integrate backward (the scheme is symmetric
     under dt -> -dt, which is how time-reversal round trips are run);
-    it must be nonzero and |dt| must not exceed t_final.
+    it must be nonzero and finite, t_final positive and finite, and
+    t_final an integer number of |dt| steps (to 1e-9 relative).
     """
 
     dt: float
@@ -47,18 +49,27 @@ class EvolutionConfig:
     observe_every: int = 1
 
     def __post_init__(self):
-        if self.dt == 0.0:
-            raise DomainError("dt must be nonzero")
-        if not self.t_final > 0:
-            raise DomainError(f"t_final must be positive, got {self.t_final}")
+        if not (math.isfinite(self.dt) and self.dt != 0.0):
+            raise DomainError(f"dt must be nonzero and finite, got {self.dt}")
+        if not (math.isfinite(self.t_final) and self.t_final > 0):
+            raise DomainError(f"t_final must be positive and finite, got {self.t_final}")
         if abs(self.dt) > self.t_final:
             raise DomainError("|dt| must not exceed t_final")
+        if not math.isfinite(self.t_final / abs(self.dt)):
+            raise DomainError("t_final/|dt| overflows: not a finite step count")
+        if abs(self.steps * abs(self.dt) - self.t_final) > 1e-9 * self.t_final:
+            raise DomainError("t_final must be an integer number of dt steps")
         if not self.fixed_point_tol > 0:
             raise DomainError("fixed_point_tol must be positive")
         if self.max_fixed_point_iters < 1:
             raise DomainError("max_fixed_point_iters must be >= 1")
         if self.observe_every < 1:
             raise DomainError("observe_every must be >= 1")
+
+    @property
+    def steps(self) -> int:
+        """Number of time steps, round(t_final/|dt|)."""
+        return int(round(self.t_final / abs(self.dt)))
 
 
 @dataclass(frozen=True)
@@ -68,7 +79,9 @@ class FlowTrace:
     vertex_phase[k] is arg<Psi(0), Psi(t_k)> in the weighted inner
     product: for a standing wave e^{i omega t} Phi it equals omega*t_k.
     extras holds additional per-sample columns (e.g. grad_norm for
-    gradient flows); every array must align with times.
+    gradient flows); every array must align with times.  metadata holds
+    per-run facts that are not columns, such as a gradient flow's stop
+    reason and step counts; it is not written to the tables.
     """
 
     times: np.ndarray
@@ -77,6 +90,7 @@ class FlowTrace:
     vertex_phase: np.ndarray
     edge_masses: np.ndarray
     extras: dict = field(default_factory=dict)
+    metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         n = len(self.times)
@@ -212,15 +226,12 @@ def step_crank_nicolson(
 def evolve(state: GraphState, config: EvolutionConfig):
     """March the state to t_final, recording a FlowTrace along the way.
 
-    The number of steps is round(t_final/|dt|), which must match
-    t_final to 1e-9 relative.  Non-vertex-continuous input is projected
-    to its vertex mean once at entry; the projected state is what the
-    t = 0 trace row records.  The trace samples every observe_every-th
-    step plus the final one.
+    The number of steps is config.steps = round(t_final/|dt|).
+    Non-vertex-continuous input is projected to its vertex mean once at
+    entry; the projected state is what the t = 0 trace row records.  The
+    trace samples every observe_every-th step plus the final one.
     """
-    n_steps = int(round(config.t_final / abs(config.dt)))
-    if abs(n_steps * abs(config.dt) - config.t_final) > 1e-9 * config.t_final:
-        raise DomainError("t_final must be an integer number of dt steps")
+    n_steps = config.steps
     spec = state.spec
     current = GraphState(spec, _symmetrized(state.values))
     initial = current

@@ -15,8 +15,10 @@ vertex continuous.
 
 from __future__ import annotations
 
+import functools
 import io
 import json
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,10 +40,16 @@ class GraphSpec:
     def __post_init__(self):
         if self.edge_count < 2:
             raise DomainError(f"need at least 2 edges, got {self.edge_count}")
-        if not self.truncation_length > 0:
-            raise DomainError(f"truncation_length must be positive, got {self.truncation_length}")
+        if not (math.isfinite(self.truncation_length) and self.truncation_length > 0):
+            raise DomainError(
+                f"truncation_length must be positive and finite, got {self.truncation_length}"
+            )
         if self.points_per_edge < 3:
             raise DomainError(f"need at least 3 points per edge, got {self.points_per_edge}")
+        if not self.spacing > 0:
+            raise DomainError(
+                f"truncation_length {self.truncation_length} gives a grid spacing of zero"
+            )
 
     @property
     def spacing(self) -> float:
@@ -126,12 +134,18 @@ def require_continuity(state: GraphState, tol: float = CONTINUITY_TOL) -> None:
         )
 
 
+@functools.lru_cache(maxsize=8)
 def edge_weights(spec: GraphSpec) -> np.ndarray:
-    """Trapezoid weights along one edge, shape (N,): h/2, h, ..., h, h/2."""
+    """Trapezoid weights along one edge, shape (N,): h/2, h, ..., h, h/2.
+
+    Built once per grid and shared, so the array is read-only: every
+    mass, energy and inner product of the descent flow reads it.
+    """
     h = spec.spacing
     w = np.full(spec.points_per_edge, h)
     w[0] = 0.5 * h
     w[-1] = 0.5 * h
+    w.setflags(write=False)
     return w
 
 
@@ -198,6 +212,8 @@ def rescale_mass(state: GraphState, target_mass: float) -> GraphState:
     m = mass(state)
     if m == 0.0:
         raise DegenerateStateError("cannot rescale the zero state to positive mass")
+    if m == math.inf:
+        raise DomainError("the state's mass overflows, so it cannot be rescaled")
     return GraphState(state.spec, state.values * np.sqrt(target_mass / m))
 
 

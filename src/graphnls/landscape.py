@@ -407,19 +407,30 @@ def gradient_flow_fixed_mass(
     """Projected gradient descent on the mass sphere.
 
     Iterates Psi <- rescale_mass(Psi - s * energy_gradient(Psi), M)
-    with backtracking: a trial step that raises the energy halves s and
-    is retried (never recorded); accepted steps grow s by 1.2 back
-    toward the initial step.  Terminates when the projected-gradient
-    norm ||grad E + best_omega * Psi|| drops to grad_tol, or after
-    max_iters accepted steps.  Step underflow below 1e-12 raises
-    StallError carrying the partial trace.
+    with backtracking: a trial step that raises the energy, or whose
+    unprojected state overflows, halves s and is retried (never
+    recorded); accepted steps grow s by 1.2 back toward the initial
+    step.  Terminates when the projected-gradient norm
+    ||grad E + best_omega * Psi|| drops to grad_tol, or after max_iters
+    accepted steps.  Step underflow below 1e-12 raises StallError
+    carrying the partial trace.  step must be finite and positive,
+    grad_tol finite and nonnegative; anything else is a DomainError.
+
+    Each accepted state costs one energy_gradient, shared with
+    best_omega, and one edge_masses pass, which also gives the recorded
+    mass.
 
     Returns (final state, FlowTrace); trace extras record the projected
     gradient norm and the position (edge, coordinate) of the modulus
-    maximum, a proxy for where the escaping soliton sits.
+    maximum, a proxy for where the escaping soliton sits.  Trace
+    metadata records why the flow stopped (stop_reason: "converged",
+    "max_iters" or "stalled"), the accepted and rejected trial steps,
+    and final_step, the step size the next trial would have used.
     """
-    if not step > 0:
-        raise DomainError(f"step must be positive, got {step}")
+    if not (math.isfinite(step) and step > 0):
+        raise DomainError(f"step must be positive and finite, got {step}")
+    if not (math.isfinite(grad_tol) and grad_tol >= 0):
+        raise DomainError(f"grad_tol must be nonnegative and finite, got {grad_tol}")
     if max_iters < 0:
         raise DomainError("max_iters must be nonnegative")
     M0 = mass(state0)
@@ -433,8 +444,9 @@ def gradient_flow_fixed_mass(
     times, masses, energies, phases, per_edge = [], [], [], [], []
     grad_norms, peak_edges, peak_coords = [], [], []
     initial = state0
+    rejected = 0
 
-    def build_trace():
+    def build_trace(stop_reason, final_step):
         return FlowTrace(
             times=np.array(times),
             masses=np.array(masses),
@@ -446,21 +458,28 @@ def gradient_flow_fixed_mass(
                 "peak_edge": np.array(peak_edges, dtype=float),
                 "peak_coordinate": np.array(peak_coords),
             },
+            metadata={
+                "stop_reason": stop_reason,
+                "accepted_steps": len(times) - 1,
+                "rejected_steps": rejected,
+                "final_step": final_step,
+            },
         )
 
     def record(it, st, e_total, pg_norm):
+        em = edge_masses(st)
         times.append(float(it))
-        masses.append(mass(st))
+        masses.append(float(em.sum()))
         energies.append(e_total)
         phases.append(float(np.angle(weighted_inner(initial, st))))
-        per_edge.append(edge_masses(st))
+        per_edge.append(em)
         grad_norms.append(pg_norm)
         flat = int(np.argmax(np.abs(st.values)))
         peak_edges.append(flat // N)
         peak_coords.append((flat % N) * h)
 
     def projected_gradient_norm(st, g):
-        omega_hat = best_omega(st)
+        omega_hat = best_omega(st, g)
         r = g.values + omega_hat * st.values
         return float(np.sqrt((w * np.abs(r) ** 2).sum()))
 
@@ -474,23 +493,30 @@ def gradient_flow_fixed_mass(
         if pg <= grad_tol:
             break
         while True:
-            trial = rescale_mass(
-                GraphState(spec, current.values - s * g.values), M0
-            )
-            e_trial = energy(trial).total
+            try:
+                trial = rescale_mass(
+                    GraphState(spec, current.values - s * g.values), M0
+                )
+            except DomainError:  # the unprojected trial overflowed
+                e_trial = math.inf
+            else:
+                e_trial = energy(trial).total
             if e_trial < e_current:
                 break
+            rejected += 1
             s *= 0.5
             if s < 1e-12:
                 raise StallError(
-                    "gradient flow stalled: no descent step above 1e-12", build_trace()
+                    "gradient flow stalled: no descent step above 1e-12",
+                    build_trace("stalled", s),
                 )
         current, e_current = trial, e_trial
         s = min(s * 1.2, step)
         g = energy_gradient(current)
         pg = projected_gradient_norm(current, g)
         record(it, current, e_current, pg)
-    return current, build_trace()
+    reason = "converged" if pg <= grad_tol else "max_iters"
+    return current, build_trace(reason, s)
 
 
 def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import DegenerateStateError
+from .errors import DegenerateStateError, DomainError
 from .graph_core import (
     CONTINUITY_TOL,
     EnergyReport,
@@ -97,8 +97,9 @@ def energy(state: GraphState) -> EnergyReport:
     """Kinetic, quartic, and total energy plus mass of the state."""
     w = edge_weights(state.spec)
     kinetic = 0.5 * kinetic_quadratic_form(state)
-    quartic = 0.25 * float((w * np.abs(state.values) ** 4).sum())
-    m = float((w * np.abs(state.values) ** 2).sum())
+    a = np.abs(state.values)
+    quartic = 0.25 * float((w * a ** 4).sum())
+    m = float((w * a ** 2).sum())
     return EnergyReport(kinetic=kinetic, quartic=quartic, total=kinetic - quartic, mass=m)
 
 
@@ -124,15 +125,22 @@ def el_residual(state: GraphState, omega: float) -> float:
     return float(np.sqrt((w * np.abs(r) ** 2).sum()))
 
 
-def best_omega(state: GraphState) -> float:
+def best_omega(state: GraphState, gradient: GraphState | None = None) -> float:
     """Frequency minimizing the Euler-Lagrange defect in the weighted norm.
 
     Writing r(omega) = grad E + omega psi, the minimizer of ||r(omega)||
     is omega = -Re<grad E, psi> / ||psi||^2.  Equals M^2/36 on the
     stationary state at total mass M, up to discretization error.
+
+    gradient, if given, must be energy_gradient(state); a caller that
+    already holds it (the descent flow) passes it to skip recomputing
+    it, and the result is bit-for-bit the same.
     """
     m = mass(state)
     if m == 0.0:
         raise DegenerateStateError("best_omega is undefined for the zero state")
-    g = energy_gradient(state)
-    return -float(np.real(weighted_inner(g, state))) / m
+    if gradient is None:
+        gradient = energy_gradient(state)
+    elif gradient.spec != state.spec:
+        raise DomainError("gradient and state live on different grids")
+    return -float(np.real(weighted_inner(gradient, state))) / m

@@ -1,35 +1,73 @@
-"""End-to-end runs of the command-line interface."""
+"""End-to-end runs of the command-line interface.
+
+Most tests call cli.main in-process, in a temporary working directory,
+reading stdout/stderr through capsys; one smoke test starts the real
+`python -m graphnls.cli` entry point in a child process.
+"""
 
 import json
 import os
 import subprocess
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 
 import pytest
 
 import graphnls
+from graphnls import cli
 
-CLI = [sys.executable, "-m", "graphnls.cli"]
 FAST = ["--points", "128", "--length", "20"]
 # The directory that holds the graphnls this process imported, so the
 # child runs the same copy whatever its cwd (src/ or site-packages).
 PACKAGE_ROOT = str(Path(graphnls.__file__).resolve().parents[1])
 
 
-def run(args, cwd, env=None):
-    env = dict(os.environ if env is None else env)
+@dataclass
+class Result:
+    returncode: int
+    stdout: str
+    stderr: str
+
+
+@pytest.fixture
+def run(capsys, monkeypatch):
+    """cli.main(args) with cwd as the working directory."""
+
+    def _run(args, cwd):
+        monkeypatch.chdir(cwd)
+        capsys.readouterr()
+        try:
+            code = cli.main(args)
+        except SystemExit as exc:  # argparse: usage errors and --version
+            code = exc.code
+        out, err = capsys.readouterr()
+        return Result(code, out, err)
+
+    return _run
+
+
+def run_child(args, cwd):
+    env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [PACKAGE_ROOT, env.get("PYTHONPATH")] if p)
-    r = subprocess.run(CLI + args, cwd=cwd, env=env,
-                       capture_output=True, text=True)
+    r = subprocess.run([sys.executable, "-m", "graphnls.cli"] + args, cwd=cwd,
+                       env=env, capture_output=True, text=True)
     if r.returncode != 0 and "No module named 'graphnls" in r.stderr:
         pytest.fail(f"the CLI child could not import graphnls:\n{r.stderr}")
     return r
 
 
+def read_table(path):
+    """Header and float columns of a CLI CSV table."""
+    lines = [l for l in path.read_text().splitlines() if not l.startswith("#")]
+    header = lines[0].split(",")
+    rows = [[float(v) for v in l.split(",")] for l in lines[1:]]
+    return {name: [row[k] for row in rows] for k, name in enumerate(header)}
+
+
 class TestScan:
-    def test_writes_commented_csv(self, tmp_path):
+    def test_writes_commented_csv(self, run, tmp_path):
         r = run(["scan", "sesqui", "--m1", "0.5,1.0"] + FAST, tmp_path)
         assert r.returncode == 0
         text = (tmp_path / "scan_sesqui.csv").read_text()
@@ -40,14 +78,14 @@ class TestScan:
         assert lines[3] == "param,closed_energy,discrete_energy,offset"
         assert len(lines) == 6
 
-    def test_range_spec(self, tmp_path):
+    def test_range_spec(self, run, tmp_path):
         r = run(["scan", "dilation", "--lambda", "0.8:1.2:5"] + FAST, tmp_path)
         assert r.returncode == 0
         rows = [l for l in (tmp_path / "scan_dilation.csv").read_text()
                 .splitlines() if not l.startswith("#")]
         assert len(rows) == 6
 
-    def test_json_format(self, tmp_path):
+    def test_json_format(self, run, tmp_path):
         r = run(["scan", "sesqui", "--m1", "1.0,2.0", "--format", "json"]
                 + FAST, tmp_path)
         assert r.returncode == 0
@@ -55,29 +93,29 @@ class TestScan:
         assert doc["param_name"] == "m1"
         assert len(doc["data"]["param"]) == 2
 
-    def test_bad_range_is_a_usage_error(self, tmp_path):
+    def test_bad_range_is_a_usage_error(self, run, tmp_path):
         r = run(["scan", "sesqui", "--m1", "a:b:c"] + FAST, tmp_path)
         assert r.returncode == 2
         assert "error" in r.stderr
 
-    def test_unknown_curve_is_a_usage_error(self, tmp_path):
+    def test_unknown_curve_is_a_usage_error(self, run, tmp_path):
         r = run(["scan", "bogus"] + FAST, tmp_path)
         assert r.returncode == 2
 
 
 class TestProfile:
-    def test_stationary_profile(self, tmp_path):
+    def test_stationary_profile(self, run, tmp_path):
         r = run(["profile", "stationary"] + FAST, tmp_path)
         assert r.returncode == 0
         assert (tmp_path / "profile_stationary.csv").exists()
 
-    def test_inadmissible_masses_exit_2(self, tmp_path):
+    def test_inadmissible_masses_exit_2(self, run, tmp_path):
         r = run(["profile", "sesqui", "--m1", "3", "--m2", "1"] + FAST,
                 tmp_path)
         assert r.returncode == 2
         assert "m2 >= 2*m1" in r.stderr
 
-    def test_short_edge_warns_about_the_tail(self, tmp_path):
+    def test_short_edge_warns_about_the_tail(self, run, tmp_path):
         r = run(["profile", "sesqui", "--m1", "1", "--m2", "5",
                  "--points", "64", "--length", "8"], tmp_path)
         assert r.returncode == 0
@@ -85,7 +123,7 @@ class TestProfile:
 
 
 class TestFlow:
-    def test_shift_descends_and_writes_summary(self, tmp_path):
+    def test_shift_descends_and_writes_summary(self, run, tmp_path):
         r = run(["flow", "--perturbation", "shift:0.01", "--max-iters", "400",
                  "--grad-tol", "1e-9"] + FAST, tmp_path)
         assert r.returncode == 0
@@ -94,21 +132,39 @@ class TestFlow:
         assert summary["gap_to_infimum"] > 0
         assert not summary["stalled"]
         assert (tmp_path / "flow_trace.csv").exists()
+        assert summary["stop_reason"] == "max_iters"
+        assert summary["accepted_steps"] == summary["iterations"] == 400
+        assert summary["rejected_steps"] >= 0
+        assert 0 < summary["final_step"] <= 0.1
 
-    def test_stall_reported_not_fatal(self, tmp_path):
+    def test_stall_reported_not_fatal(self, run, tmp_path):
         r = run(["flow", "--perturbation", "none", "--grad-tol", "0",
                  "--max-iters", "100"] + FAST, tmp_path)
         assert r.returncode == 0
         summary = json.loads((tmp_path / "flow_summary.json").read_text())
         assert summary["stalled"] is True
+        assert summary["stop_reason"] == "stalled"
 
-    def test_unknown_perturbation_exit_2(self, tmp_path):
+    def test_unknown_perturbation_exit_2(self, run, tmp_path):
         r = run(["flow", "--perturbation", "wiggle:0.1"] + FAST, tmp_path)
         assert r.returncode == 2
 
+    def test_json_trace_matches_csv(self, run, tmp_path):
+        args = ["flow", "--max-iters", "40", "--grad-tol", "1e-9"] + FAST
+        assert run(args + ["--out", "csv"], tmp_path).returncode == 0
+        assert run(args + ["--out", "json", "--format", "json"], tmp_path).returncode == 0
+        table = read_table(tmp_path / "csv" / "flow_trace.csv")
+        doc = json.loads((tmp_path / "json" / "flow_trace.json").read_text())
+        assert list(table) == ["t", "mass", "energy", "phase", "edge_mass_1",
+                               "edge_mass_2", "edge_mass_3", "grad_norm",
+                               "peak_edge", "peak_coordinate"]
+        assert doc["data"] == table
+        assert ((tmp_path / "csv" / "flow_summary.json").read_bytes()
+                == (tmp_path / "json" / "flow_summary.json").read_bytes())
+
 
 class TestEvolve:
-    def test_standing_wave_summary(self, tmp_path):
+    def test_standing_wave_summary(self, run, tmp_path):
         r = run(["evolve", "--initial", "stationary", "--t-final", "0.05"]
                 + FAST, tmp_path)
         assert r.returncode == 0
@@ -117,14 +173,14 @@ class TestEvolve:
         assert summary["mass_drift"] < 1e-12
         assert (tmp_path / "evolve_trace.csv").exists()
 
-    def test_bad_step_split_exit_2(self, tmp_path):
+    def test_bad_step_split_exit_2(self, run, tmp_path):
         r = run(["evolve", "--dt", "0.3", "--t-final", "1.0"] + FAST,
                 tmp_path)
         assert r.returncode == 2
 
 
 class TestVerify:
-    def test_coarse_grid_reports_honestly(self, tmp_path):
+    def test_coarse_grid_reports_honestly(self, run, tmp_path):
         r = run(["verify", "--points", "64", "--length", "20",
                  "--t-final", "0.1"], tmp_path)
         assert r.returncode == 1
@@ -136,8 +192,41 @@ class TestVerify:
         assert "PASS" in r.stdout and "FAIL" in r.stdout
 
 
+class TestBadInput:
+    @pytest.mark.parametrize("args", [
+        ["profile", "stationary", "--length", "inf"],
+        ["profile", "stationary", "--length", "nan"],
+        ["scan", "dilation", "--mass", "inf"],
+        ["evolve", "--dt", "nan"],
+        ["evolve", "--dt", "inf"],
+        ["evolve", "--t-final", "inf"],
+        ["evolve", "--t-final", "nan"],
+        ["flow", "--grad-tol", "nan"],
+        ["flow", "--grad-tol", "inf"],
+        ["flow", "--step", "inf"],
+        ["flow", "--step", "nan"],
+        ["verify", "--edges", "4"],
+    ], ids="_".join)
+    def test_exit_2_with_a_message(self, run, tmp_path, args):
+        r = run(args + ["--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+
+class TestEntryPoint:
+    def test_module_runs_in_a_child_process(self, tmp_path):
+        r = run_child(["scan", "sesqui", "--m1", "1.0"] + FAST, tmp_path)
+        assert r.returncode == 0
+        assert (tmp_path / "scan_sesqui.csv").exists()
+        r = run_child(["evolve", "--dt", "nan"] + FAST, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert "Traceback" not in r.stderr
+
+
 class TestConfigPlumbing:
-    def test_outputs_are_deterministic(self, tmp_path):
+    def test_outputs_are_deterministic(self, run, tmp_path):
         (tmp_path / "a").mkdir()
         (tmp_path / "b").mkdir()
         args = ["scan", "sesqui", "--m1", "0.5:1.5:7"] + FAST
@@ -146,21 +235,21 @@ class TestConfigPlumbing:
         assert ((tmp_path / "a" / "scan_sesqui.csv").read_bytes()
                 == (tmp_path / "b" / "scan_sesqui.csv").read_bytes())
 
-    def test_env_var_sets_output_dir(self, tmp_path):
-        env = dict(os.environ, GRAPHNLS_OUT="envout")
-        r = run(["scan", "sesqui", "--m1", "1.0"] + FAST, tmp_path, env=env)
+    def test_env_var_sets_output_dir(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
+        r = run(["scan", "sesqui", "--m1", "1.0"] + FAST, tmp_path)
         assert r.returncode == 0
         assert (tmp_path / "envout" / "scan_sesqui.csv").exists()
 
-    def test_flag_beats_env_var(self, tmp_path):
-        env = dict(os.environ, GRAPHNLS_OUT="envout")
+    def test_flag_beats_env_var(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
         r = run(["scan", "sesqui", "--m1", "1.0", "--out", "flagout"] + FAST,
-                tmp_path, env=env)
+                tmp_path)
         assert r.returncode == 0
         assert (tmp_path / "flagout" / "scan_sesqui.csv").exists()
         assert not (tmp_path / "envout").exists()
 
-    def test_config_file_and_flag_precedence(self, tmp_path):
+    def test_config_file_and_flag_precedence(self, run, tmp_path):
         cfg = tmp_path / "settings.txt"
         cfg.write_text("mass = 4\npoints = 128\nlength = 20\n")
         r = run(["scan", "sesqui", "--m1", "0.5", "--config", str(cfg)],
@@ -173,14 +262,14 @@ class TestConfigPlumbing:
         assert "mass=5" in (tmp_path / "scan_sesqui.csv")\
             .read_text().splitlines()[1]
 
-    def test_unknown_config_key_exit_2(self, tmp_path):
+    def test_unknown_config_key_exit_2(self, run, tmp_path):
         cfg = tmp_path / "settings.txt"
         cfg.write_text("volume = 11\n")
         r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
         assert r.returncode == 2
         assert "unknown config key" in r.stderr
 
-    def test_version_flag(self, tmp_path):
+    def test_version_flag(self, run, tmp_path):
         r = run(["--version"], tmp_path)
         assert r.returncode == 0
         assert r.stdout.startswith("graphnls ")

@@ -155,6 +155,8 @@ class TestFailureModes:
         with pytest.raises(StallError) as exc:
             gradient_flow_fixed_mass(st, step=0.1, max_iters=200, grad_tol=0.0)
         assert len(exc.value.trace.times) > 0
+        assert exc.value.trace.metadata["stop_reason"] == "stalled"
+        assert exc.value.trace.metadata["final_step"] < 1e-12
 
     def test_short_edges_rejected_for_small_m1(self):
         spec = GraphSpec(3, 5.0, 128)

@@ -1,0 +1,85 @@
+"""Every float either gives a usable object or raises DomainError.
+
+Property tests over all of float64, NaN and the infinities included:
+a grid, a time-stepping configuration and a descent-flow call are
+either valid (and then behave) or rejected up front with DomainError,
+never a ValueError, an OverflowError or a failure part-way through.
+"""
+
+import math
+
+import numpy as np
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from graphnls import (
+    DomainError,
+    EvolutionConfig,
+    GraphSpec,
+    StallError,
+    gradient_flow_fixed_mass,
+    mass,
+    shift_perturbation,
+)
+
+M = 6.0
+FLOW_START = shift_perturbation(M, GraphSpec(3, 20.0, 32), 0.01)
+
+
+@given(st.floats())
+@example(math.inf)
+@example(5e-324)
+def test_graph_spec_length(length):
+    try:
+        spec = GraphSpec(3, length, 16)
+    except DomainError:
+        assert not (math.isfinite(length) and length / 15 > 0)
+        return
+    assert math.isfinite(spec.spacing) and spec.spacing > 0
+    assert np.all(np.isfinite(spec.coordinates()))
+
+
+@given(st.floats(), st.floats())
+@example(1e-3, 1.0)
+@example(-0.25, 1.0)
+@example(math.nan, 1.0)
+@example(1e-3, math.inf)
+@example(1e-308, 1e308)
+def test_evolution_config_time_grid(dt, t_final):
+    try:
+        config = EvolutionConfig(dt=dt, t_final=t_final)
+    except DomainError:
+        return
+    assert math.isfinite(dt) and dt != 0.0
+    assert math.isfinite(t_final) and t_final > 0
+    assert config.steps >= 1
+    assert abs(config.steps * abs(dt) - t_final) <= 1e-9 * t_final
+
+
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@settings(deadline=None)
+@given(st.floats(), st.floats())
+@example(0.1, 1e-3)
+@example(math.inf, 1e-3)
+@example(0.1, math.nan)
+@example(0.1, -1e-3)
+@example(0.0, 1e-3)
+@example(1e300, 0.0)
+def test_flow_step_and_tolerance(step, grad_tol):
+    valid = (math.isfinite(step) and step > 0
+             and math.isfinite(grad_tol) and grad_tol >= 0)
+    try:
+        _, trace = gradient_flow_fixed_mass(FLOW_START, step=step, max_iters=3,
+                                            grad_tol=grad_tol)
+    except DomainError:
+        assert not valid
+        return
+    except StallError as exc:
+        trace = exc.trace
+        assert trace.metadata["stop_reason"] == "stalled"
+    assert valid
+    assert trace.metadata["stop_reason"] in ("converged", "max_iters", "stalled")
+    assert np.all(np.diff(trace.energies) < 0)
+    assert np.allclose(trace.masses, mass(FLOW_START), rtol=1e-12, atol=0.0)

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from graphnls import landscape, operators
 from graphnls import (
     DomainError,
     GraphSpec,
@@ -203,6 +204,8 @@ class TestDescentFlow:
                                             grad_tol=1e-3)
         assert trace.energies[-1] == pytest.approx(e_star, abs=2e-3)
         assert len(trace.times) < 3000
+        assert trace.metadata["stop_reason"] == "converged"
+        assert trace.extras["grad_norm"][-1] <= 1e-3
 
     def test_asymmetric_start_escapes(self, coarse_spec):
         # breaking the symmetry between edges 1 and 2 opens the descent
@@ -220,6 +223,42 @@ class TestDescentFlow:
                                             grad_tol=1e-12)
         assert "grad_norm" in trace.extras
         assert len(trace.extras["grad_norm"]) == len(trace.times)
+        assert trace.metadata["stop_reason"] == "max_iters"
+        assert trace.metadata["accepted_steps"] == 50
+
+    def test_one_gradient_and_one_energy_per_trial(self, coarse_spec, monkeypatch):
+        # the start state and each accepted state get one gradient, which
+        # best_omega shares; every trial step, accepted or not, one energy
+        calls = {"energy_gradient": 0, "energy": 0}
+
+        def counted(name, func):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return func(*args, **kwargs)
+            return wrapper
+
+        for name in calls:
+            monkeypatch.setattr(landscape, name, counted(name, getattr(landscape, name)))
+        monkeypatch.setattr(operators, "energy_gradient",
+                            counted("energy_gradient", operators.energy_gradient))
+        start = shift_perturbation(M, coarse_spec, 0.01)
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=50,
+                                            grad_tol=1e-12)
+        meta = trace.metadata
+        assert meta["accepted_steps"] == len(trace.times) - 1 == 50
+        assert meta["rejected_steps"] > 0
+        assert calls["energy_gradient"] == meta["accepted_steps"] + 1
+        assert calls["energy"] == meta["accepted_steps"] + meta["rejected_steps"] + 1
+        assert 0 < meta["final_step"] <= 0.1
+
+    def test_overflowing_trial_is_rejected_not_fatal(self, coarse_spec):
+        start = shift_perturbation(M, coarse_spec, 0.01)
+        with np.errstate(over="ignore", invalid="ignore"):
+            _, trace = gradient_flow_fixed_mass(start, step=1e300, max_iters=5,
+                                                grad_tol=1e-12)
+        assert trace.metadata["rejected_steps"] > 900
+        assert np.all(np.diff(trace.energies) < 0)
+        assert trace.mass_drift < 1e-12
 
 
 class TestRandomStates:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from graphnls import (
+    DomainError,
     GraphSpec,
     GraphState,
     apply_laplacian,
@@ -132,6 +133,13 @@ class TestEulerLagrange:
         spec = GraphSpec(3, 30.0, 2048)
         st, info = stationary_state(M, spec)
         assert best_omega(st) == pytest.approx(info.omega, rel=1e-3)
+
+    def test_best_omega_reuses_a_given_gradient_exactly(self, coarse_spec, rng):
+        st = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)
+        assert best_omega(st, energy_gradient(st)) == best_omega(st)
+        other = GraphState(GraphSpec(3, 10.0, 128), st.values)
+        with pytest.raises(DomainError):
+            best_omega(st, energy_gradient(other))
 
     def test_residual_large_off_solution(self, coarse_spec, rng):
         st = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)
