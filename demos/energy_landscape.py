@@ -14,6 +14,7 @@ from graphnls import (
     minimizing_sequence_demo,
     scan_dilation_curve,
     scan_sesqui_curve,
+    write_csv,
 )
 
 M = 6.0
@@ -24,12 +25,11 @@ def show(scan, label):
     print(f"\n{label}")
     print(f"  {scan.param_name:>8s}  closed        discrete")
     for k in range(len(scan.param_values)):
-        closed = scan.closed_energy[k] if scan.closed_energy is not None else float("nan")
-        print(f"  {scan.param_values[k]:8.3f}  {closed:+.8f}  "
+        print(f"  {scan.param_values[k]:8.3f}  {scan.closed_energy[k]:+.8f}  "
               f"{scan.discrete_energy[k]:+.8f}")
     path = os.path.join(OUT, f"{label.split()[0]}.csv")
     with open(path, "w") as fh:
-        fh.write(scan.to_csv())
+        write_csv(fh, scan.columns)
 
 
 def main():

@@ -20,6 +20,7 @@ from graphnls import (
     energy_infimum,
     gradient_flow_fixed_mass,
     shift_perturbation,
+    write_csv,
 )
 
 M = 6.0
@@ -41,7 +42,7 @@ def run(label, start, max_iters):
           + (" (stalled)" if stalled else ""))
     path = os.path.join(OUT, f"flow_{label}.csv")
     with open(path, "w") as fh:
-        fh.write(trace.to_csv())
+        write_csv(fh, trace.columns)
     return trace
 
 

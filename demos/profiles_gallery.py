@@ -15,8 +15,9 @@ from graphnls import (
     energy_sesqui_closed,
     mass,
     sesquisoliton,
-    state_to_csv,
+    state_columns,
     stationary_state,
+    write_csv,
 )
 
 M = 6.0
@@ -33,7 +34,7 @@ def report(name, state, closed=None):
     print(line)
     path = os.path.join(OUT, f"{name}.csv")
     with open(path, "w") as fh:
-        fh.write(state_to_csv(state))
+        write_csv(fh, state_columns(state))
     return path
 
 

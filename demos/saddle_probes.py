@@ -16,10 +16,10 @@ from graphnls import (
     dilation_tangent,
     hessian_probe,
     phase_direction,
-    saddle_reports_csv,
     sesqui_curve_second_derivative,
     sesqui_tangent,
     stationary_state,
+    write_csv,
 )
 
 M = 6.0
@@ -58,7 +58,11 @@ def main():
 
     path = os.path.join(OUT, "saddle_probes.csv")
     with open(path, "w") as fh:
-        fh.write(saddle_reports_csv(reports))
+        write_csv(fh, {
+            "direction": [r.direction for r in reports],
+            "epsilon": [r.epsilon for r in reports],
+            "second_difference": [r.second_difference for r in reports],
+        })
     print(f"\nprobe table written to {path}")
 
 

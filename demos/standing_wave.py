@@ -16,6 +16,7 @@ from graphnls import (
     discrete_stationary_state,
     evolve,
     measure_omega,
+    write_csv,
 )
 
 M = 6.0
@@ -44,7 +45,7 @@ def main():
 
     path = os.path.join(OUT, "standing_wave.csv")
     with open(path, "w") as fh:
-        fh.write(trace.to_csv())
+        write_csv(fh, trace.columns)
     print(f"\ntrace written to {path}")
 
 

@@ -14,6 +14,7 @@ ever shrink the grid, so a coarse configured grid is honored.
 
 from __future__ import annotations
 
+import io
 import math
 from dataclasses import dataclass
 
@@ -26,7 +27,8 @@ from .graph_core import (
     GraphState,
     edge_masses,
     mass,
-    state_to_csv,
+    state_columns,
+    write_csv,
 )
 from .landscape import (
     comparison_sesquisoliton,
@@ -304,7 +306,10 @@ class _Battery:
             scan = scan_sesqui_curve(self.M, [0.5, 1.0, 1.5], spec10)
             st = random_vertex_continuous_state(spec10, rng2, target_mass=self.M)
             _, tr = gradient_flow_fixed_mass(st, step=0.1, max_iters=5, grad_tol=1e-12)
-            return scan.to_csv() + state_to_csv(st) + tr.to_csv()
+            buf = io.StringIO()
+            for columns in (scan.columns, state_columns(st), tr.columns):
+                write_csv(buf, columns)
+            return buf.getvalue()
 
         self.check_bool("csv_determinism", 10, artifacts() == artifacts(),
                         "identical seed gives byte-identical CSV text")

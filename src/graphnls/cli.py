@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .acceptance import all_passed, run_acceptance
 from .dynamics import (EvolutionConfig, discrete_stationary_state,
                        evolve, measure_omega)
 from .errors import DomainError, GraphNLSError, StallError, StepFailureError
-from .graph_core import GraphSpec, state_to_csv
+from .graph_core import GraphSpec, state_columns, table_json, write_csv
 from .landscape import (
     dilation_family,
     deposit_perturbation,
@@ -50,7 +50,6 @@ class RunConfig:
     """Settings shared by every subcommand."""
 
     mass: float = 6.0
-    edges: int = 3
     length: float = 30.0
     points: int = 4096
     dt: float = 1e-3
@@ -60,18 +59,19 @@ class RunConfig:
     format: str = "csv"
 
     def spec(self) -> GraphSpec:
-        return GraphSpec(self.edges, self.length, self.points)
+        return GraphSpec(3, self.length, self.points)
 
     def validate(self) -> None:
         if self.format not in ("csv", "json"):
             raise DomainError("format must be csv or json")
         if not (math.isfinite(self.mass) and self.mass > 0.0):
             raise DomainError(f"mass must be positive and finite, got {self.mass}")
+        if self.seed < 0:
+            raise DomainError(f"seed must be nonnegative, got {self.seed}")
         self.spec()  # grid validation
 
 
-_FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
-_CASTS = {"mass": float, "edges": int, "length": float, "points": int,
+_CASTS = {"mass": float, "length": float, "points": int,
           "dt": float, "t_final": float, "seed": int, "out": str, "format": str}
 
 
@@ -135,7 +135,7 @@ def _parse_values(text: str) -> list:
 
 def _header(config: RunConfig) -> str:
     h = config.spec().spacing
-    echo = (f"mass={config.mass:g} edges={config.edges} length={config.length:g} "
+    echo = (f"mass={config.mass:g} length={config.length:g} "
             f"points={config.points} dt={config.dt:g} t_final={config.t_final:g} "
             f"seed={config.seed} format={config.format}")
     return (f"# graphnls {__version__}\n"
@@ -143,26 +143,20 @@ def _header(config: RunConfig) -> str:
             f"# grid: h={h:.17g}\n")
 
 
-def _write(config: RunConfig, stem: str, to_csv, to_json) -> str:
+def _write(config: RunConfig, stem: str, columns, **fields) -> str:
     """Write one table in the configured format.
 
-    to_csv and to_json return the CSV body and the JSON payload; only
-    the one for config.format is called, since a long trace is costly
-    to format.
+    CSV gets the config header; JSON gets the version, the grid spacing
+    and fields as top-level keys beside "data".
     """
+    if config.format == "json":
+        return _write_json(config, stem + ".json", table_json(
+            columns, version=__version__, grid_spacing=config.spec().spacing, **fields))
     os.makedirs(config.out, exist_ok=True)
-    if config.format == "csv":
-        path = os.path.join(config.out, stem + ".csv")
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(_header(config))
-            fh.write(to_csv())
-    else:
-        path = os.path.join(config.out, stem + ".json")
-        payload = {"version": __version__, "grid_spacing": config.spec().spacing}
-        payload.update(to_json())
-        with open(path, "w", encoding="utf-8") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+    path = os.path.join(config.out, stem + ".csv")
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(_header(config))
+        write_csv(fh, columns)
     return path
 
 
@@ -175,50 +169,10 @@ def _write_json(config: RunConfig, name: str, obj) -> str:
     return path
 
 
-def _scan_json(scan) -> dict:
-    data = {"param": list(scan.param_values),
-            "discrete_energy": list(scan.discrete_energy)}
-    if scan.closed_energy is not None:
-        data["closed_energy"] = list(scan.closed_energy)
-    for key, vals in scan.extras.items():
-        data[key] = list(np.asarray(vals, dtype=float))
-    return {"param_name": scan.param_name, "data": data,
-            "metadata": dict(scan.metadata)}
-
-
-def _trace_json(trace) -> dict:
-    data = {
-        "t": list(trace.times),
-        "mass": list(trace.masses),
-        "energy": list(trace.energies),
-        "phase": list(trace.vertex_phase),
-    }
-    for e in range(trace.edge_masses.shape[1]):
-        data[f"edge_mass_{e + 1}"] = list(trace.edge_masses[:, e])
-    for key, vals in trace.extras.items():
-        data[key] = list(np.asarray(vals, dtype=float))
-    return {"data": data}
-
-
-def _state_json(state) -> dict:
-    x = state.spec.coordinates()
-    edges = []
-    for e in range(state.spec.edge_count):
-        edges.append({
-            "x": list(x),
-            "re": list(np.real(state.values[e])),
-            "im": list(np.imag(state.values[e])),
-        })
-    return {"edges": edges}
-
-
 # -- subcommands ---------------------------------------------------------
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    if config.edges != 3:
-        raise DomainError(
-            f"the acceptance battery runs on the 3-edge star, got --edges {config.edges}")
     results = run_acceptance(mass_value=config.mass, length=config.length,
                              points=config.points, dt=config.dt,
                              t_final=config.t_final, seed=config.seed)
@@ -255,7 +209,8 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     else:
         values = _parse_values(args.m1 or _DEFAULT_RANGES["minseq"])
         scan = minimizing_sequence_demo(config.mass, values, spec)
-    path = _write(config, f"scan_{curve}", scan.to_csv, lambda: _scan_json(scan))
+    path = _write(config, f"scan_{curve}", scan.columns,
+                  param_name=scan.param_name, metadata=scan.metadata)
     print(f"{curve} scan over {len(values)} values: {path}")
     return 0
 
@@ -272,8 +227,7 @@ def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
     if tail > 1e-8 * peak:
         print(f"warning: profile tail {tail:.3g} exceeds 1e-8 of peak; "
               f"consider a larger --length", file=sys.stderr)
-    path = _write(config, f"profile_{args.kind}", lambda: state_to_csv(state),
-                  lambda: _state_json(state))
+    path = _write(config, f"profile_{args.kind}", state_columns(state))
     print(f"{args.kind} profile ({spec.edge_count} edges x {spec.points_per_edge} "
           f"points): {path}")
     return 0
@@ -325,7 +279,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         "stalled": stalled,
         **trace.metadata,
     }
-    trace_path = _write(config, "flow_trace", trace.to_csv, lambda: _trace_json(trace))
+    trace_path = _write(config, "flow_trace", trace.columns)
     summary_path = _write_json(config, "flow_summary.json", summary)
     print(f"flow ({summary['perturbation']}): {summary['iterations']} iterations, "
           f"final energy {final_energy:.6g}, gap to infimum "
@@ -359,7 +313,7 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
         "t_final": config.t_final,
         "steps": evo.steps,
     }
-    trace_path = _write(config, "evolve_trace", trace.to_csv, lambda: _trace_json(trace))
+    trace_path = _write(config, "evolve_trace", trace.columns)
     summary_path = _write_json(config, "evolve_summary.json", summary)
     print(f"evolve ({args.initial}): measured omega {summary['measured_omega']:.6g}, "
           f"mass drift {summary['mass_drift']:.3g}, "
@@ -373,7 +327,6 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--mass", type=float, help="total mass M (default 6)")
-    parser.add_argument("--edges", type=int, help="edges at the vertex (default 3)")
     parser.add_argument("--length", type=float, help="edge truncation length (default 30)")
     parser.add_argument("--points", type=int, help="grid points per edge (default 4096)")
     parser.add_argument("--dt", type=float, help="time step (default 1e-3)")

@@ -14,7 +14,6 @@ the recorded phase arg<Psi(0), Psi(t)> grows linearly with slope omega.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -27,8 +26,8 @@ from .errors import (
     GraphNLSError,
     StepFailureError,
 )
-from .graph_core import GraphSpec, GraphState, edge_weights
-from .operators import _symmetrized, weighted_inner
+from .graph_core import GraphSpec, GraphState, edge_masses, edge_weights
+from .operators import _symmetrized, energy, weighted_inner
 from .profiles import half_soliton
 
 
@@ -119,19 +118,55 @@ class FlowTrace:
         drift = float(np.max(np.abs(self.energies - e0)))
         return drift / abs(e0) if e0 != 0.0 else drift
 
-    def to_csv(self) -> str:
-        n_edges = self.edge_masses.shape[1]
-        cols = ["t", "mass", "energy", "phase"]
-        cols += [f"edge_mass_{e + 1}" for e in range(n_edges)]
-        cols += list(self.extras)
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        for k in range(len(self.times)):
-            row = [self.times[k], self.masses[k], self.energies[k], self.vertex_phase[k]]
-            row += list(self.edge_masses[k])
-            row += [self.extras[key][k] for key in self.extras]
-            buf.write(",".join("%.17g" % v for v in row) + "\n")
-        return buf.getvalue()
+    @property
+    def columns(self) -> dict:
+        """The trace as table columns: t, mass, energy, phase,
+        edge_mass_1..E, then the extras."""
+        cols = {"t": self.times, "mass": self.masses, "energy": self.energies,
+                "phase": self.vertex_phase}
+        for e in range(self.edge_masses.shape[1]):
+            cols[f"edge_mass_{e + 1}"] = self.edge_masses[:, e]
+        cols.update(self.extras)
+        return cols
+
+
+class TraceRecorder:
+    """Builds a FlowTrace one sample at a time.
+
+    observe() measures a state: its mass and edge masses from one
+    edge_masses pass, and its phase against the reference state.  The
+    caller passes the energy, which it has usually computed already,
+    and any extra columns by name.  Samples are kept column by column
+    and every column becomes a float64 array.
+    """
+
+    def __init__(self, reference: GraphState):
+        self.reference = reference
+        self.samples = {"t": [], "mass": [], "energy": [], "phase": []}
+        self.edge_masses = []
+
+    def __len__(self) -> int:
+        return len(self.edge_masses)
+
+    def observe(self, t: float, state: GraphState, energy_total: float, **extras):
+        em = edge_masses(state)
+        row = {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
+               "phase": float(np.angle(weighted_inner(self.reference, state))), **extras}
+        for name, value in row.items():
+            self.samples.setdefault(name, []).append(value)
+        self.edge_masses.append(em)
+
+    def trace(self, **metadata) -> FlowTrace:
+        cols = {name: np.array(values, dtype=float) for name, values in self.samples.items()}
+        return FlowTrace(
+            times=cols.pop("t"),
+            masses=cols.pop("mass"),
+            energies=cols.pop("energy"),
+            vertex_phase=cols.pop("phase"),
+            edge_masses=np.stack(self.edge_masses, axis=0),
+            extras=cols,
+            metadata=metadata,
+        )
 
 
 class _ArrowheadSolver:
@@ -234,23 +269,8 @@ def evolve(state: GraphState, config: EvolutionConfig):
     n_steps = config.steps
     spec = state.spec
     current = GraphState(spec, _symmetrized(state.values))
-    initial = current
-    w = edge_weights(spec)
-
-    times, masses, energies, phases, per_edge = [], [], [], [], []
-
-    def record(t: float, st: GraphState):
-        absq = np.abs(st.values) ** 2
-        em = (w * absq).sum(axis=1)
-        kin = 0.5 * (np.abs(np.diff(st.values, axis=1)) ** 2).sum() / spec.spacing
-        quar = 0.25 * (w * absq ** 2).sum()
-        times.append(t)
-        masses.append(float(em.sum()))
-        energies.append(float(kin - quar))
-        phases.append(float(np.angle(weighted_inner(initial, st))))
-        per_edge.append(em)
-
-    record(0.0, current)
+    recorder = TraceRecorder(current)
+    recorder.observe(0.0, current, energy(current).total)
     solver = _ArrowheadSolver(spec, config.dt)
     for k in range(1, n_steps + 1):
         try:
@@ -264,19 +284,12 @@ def evolve(state: GraphState, config: EvolutionConfig):
         except StepFailureError as exc:
             raise StepFailureError(f"step {k}: {exc}", k) from None
         if k % config.observe_every == 0 or k == n_steps:
-            record(k * config.dt, current)
-
-    trace = FlowTrace(
-        times=np.array(times),
-        masses=np.array(masses),
-        energies=np.array(energies),
-        vertex_phase=np.array(phases),
-        edge_masses=np.stack(per_edge, axis=0),
-    )
-    return current, trace
+            recorder.observe(k * config.dt, current, energy(current).total)
+    return current, recorder.trace()
 
 
-def _fit_phase_slope(trace: FlowTrace) -> float:
+def phase_slope(trace: FlowTrace) -> float:
+    """Signed least-squares slope of the unwrapped phase vs time."""
     if len(trace.times) < 3:
         raise DomainError("phase fit needs a trace with at least 3 samples")
     phases = np.unwrap(trace.vertex_phase)
@@ -285,18 +298,12 @@ def _fit_phase_slope(trace: FlowTrace) -> float:
         raise AliasingError(
             "phase advances close to pi per sample; decrease dt*observe_every"
         )
-    slope = np.polyfit(trace.times, phases, 1)[0]
-    return float(slope)
-
-
-def phase_slope(trace: FlowTrace) -> float:
-    """Signed least-squares slope of the unwrapped phase vs time."""
-    return _fit_phase_slope(trace)
+    return float(np.polyfit(trace.times, phases, 1)[0])
 
 
 def measure_omega(trace: FlowTrace) -> float:
     """|slope| of the unwrapped phase: the standing-wave frequency."""
-    return abs(_fit_phase_slope(trace))
+    return abs(phase_slope(trace))
 
 
 def discrete_stationary_state(

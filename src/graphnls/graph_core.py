@@ -11,13 +11,14 @@ Integrals over the graph are composite trapezoid sums per edge.  The
 vertex point therefore carries total weight E*h/2 across edges, which is
 exactly the trapezoid rule on the metric graph as long as the state is
 vertex continuous.
+
+Every CSV and JSON table the package writes goes through write_csv and
+table_json, from an ordered mapping of column name to 1-D array.
 """
 
 from __future__ import annotations
 
 import functools
-import io
-import json
 import math
 from dataclasses import dataclass
 
@@ -58,24 +59,6 @@ class GraphSpec:
     def coordinates(self) -> np.ndarray:
         """Grid coordinates 0 = vertex .. L = far end, shape (N,)."""
         return np.linspace(0.0, self.truncation_length, self.points_per_edge)
-
-    def to_json(self) -> str:
-        return json.dumps(
-            {
-                "edges": self.edge_count,
-                "length": self.truncation_length,
-                "points": self.points_per_edge,
-            }
-        )
-
-    @classmethod
-    def from_json(cls, text: str) -> "GraphSpec":
-        data = json.loads(text)
-        return cls(
-            edge_count=int(data["edges"]),
-            truncation_length=float(data["length"]),
-            points_per_edge=int(data["points"]),
-        )
 
 
 class GraphState:
@@ -160,14 +143,6 @@ def mass(state: GraphState) -> float:
     return float(edge_masses(state).sum())
 
 
-def lp_norm(state: GraphState, p: float) -> float:
-    """L^p norm with the same trapezoid measure used for the mass."""
-    if p < 1:
-        raise DomainError(f"p must be >= 1, got {p}")
-    w = edge_weights(state.spec)
-    return float((w * np.abs(state.values) ** p).sum() ** (1.0 / p))
-
-
 def kinetic_quadratic_form(state: GraphState) -> float:
     """Sum over edges of sum_j |psi(j+1)-psi(j)|^2 / h.
 
@@ -177,32 +152,6 @@ def kinetic_quadratic_form(state: GraphState) -> float:
     h = state.spec.spacing
     d = np.diff(state.values, axis=1)
     return float((np.abs(d) ** 2).sum() / h)
-
-
-def straighten(state: GraphState, edge_left: int, edge_right: int):
-    """Unfold two edges into a single line through the vertex.
-
-    Returns (xi, values) where xi runs from -L to L (2N-1 points) and
-    values traverses edge_left reversed then edge_right.  Requires the
-    two edges to agree at the vertex.
-    """
-    E = state.spec.edge_count
-    for e in (edge_left, edge_right):
-        if not 0 <= e < E:
-            raise DomainError(f"edge index {e} out of range for {E} edges")
-    if edge_left == edge_right:
-        raise DomainError("straighten needs two distinct edges")
-    a = state.values[edge_left]
-    b = state.values[edge_right]
-    gap = abs(a[0] - b[0])
-    if gap > CONTINUITY_TOL:
-        raise ContinuityError(
-            f"edges {edge_left},{edge_right} disagree at the vertex by {gap:.3e}", gap
-        )
-    x = state.spec.coordinates()
-    xi = np.concatenate([-x[:0:-1], x])
-    line = np.concatenate([a[:0:-1], b])
-    return xi, line
 
 
 def rescale_mass(state: GraphState, target_mass: float) -> GraphState:
@@ -228,47 +177,46 @@ class EnergyReport:
 
 
 # ---------------------------------------------------------------------------
-# State serialization: CSV with columns edge,index,x,re,im in row-major
-# edge/index order.  17 significant digits round-trips float64 exactly.
+# Tables: every CSV and JSON artifact is an ordered mapping from column
+# name to a 1-D array.  17 significant digits round-trip float64 exactly.
 
-def state_to_csv(state: GraphState) -> str:
-    buf = io.StringIO()
-    buf.write("edge,index,x,re,im\n")
-    x = state.spec.coordinates()
-    vals = state.values
-    for e in range(state.spec.edge_count):
-        for j in range(state.spec.points_per_edge):
-            v = vals[e, j]
-            buf.write("%d,%d,%.17g,%.17g,%.17g\n" % (e, j, x[j], v.real, v.imag))
-    return buf.getvalue()
+# Rows formatted per write: a long trace is never held as one string.
+_CSV_BLOCK = 4096
 
 
-def state_from_csv(text: str) -> GraphState:
-    """Rebuild a state from its CSV serialization.
+def _column_arrays(columns) -> list:
+    cols = [np.asarray(c) for c in columns.values()]
+    if any(c.ndim != 1 or len(c) != len(cols[0]) for c in cols):
+        raise DomainError("table columns must be 1-D and of equal length")
+    return cols
 
-    The grid is reconstructed from the rows themselves: edge count and
-    points per edge from the index columns, truncation length from the
-    largest coordinate.
+
+def write_csv(fh, columns) -> None:
+    """Write the columns to fh as a header line and one row per sample.
+
+    A column of strings is written with %s, any other with %.17g.
     """
-    rows = []
-    for line in text.splitlines():
-        line = line.strip()
-        if not line or line.startswith("#") or line.startswith("edge,"):
-            continue
-        parts = line.split(",")
-        if len(parts) != 5:
-            raise DomainError(f"malformed state row: {line!r}")
-        rows.append((int(parts[0]), int(parts[1]), float(parts[2]),
-                     float(parts[3]), float(parts[4])))
-    if not rows:
-        raise DomainError("no data rows in state CSV")
-    n_edges = max(r[0] for r in rows) + 1
-    n_points = max(r[1] for r in rows) + 1
-    length = max(r[2] for r in rows)
-    spec = GraphSpec(edge_count=n_edges, truncation_length=length, points_per_edge=n_points)
-    vals = np.full((n_edges, n_points), np.nan + 0j, dtype=np.complex128)
-    for e, j, _x, re, im in rows:
-        vals[e, j] = re + 1j * im
-    if np.any(np.isnan(vals.view(np.float64))):
-        raise DomainError("state CSV is missing rows for some grid points")
-    return GraphState(spec, vals)
+    cols = _column_arrays(columns)
+    line = ",".join("%s" if c.dtype.kind == "U" else "%.17g" for c in cols) + "\n"
+    fh.write(",".join(columns) + "\n")
+    for lo in range(0, len(cols[0]), _CSV_BLOCK):
+        rows = zip(*(c[lo:lo + _CSV_BLOCK].tolist() for c in cols))
+        fh.write("".join(line % row for row in rows))
+
+
+def table_json(columns, **fields) -> dict:
+    """JSON document of the columns: {"data": {name: values}} plus fields."""
+    data = {name: c.tolist() for name, c in zip(columns, _column_arrays(columns))}
+    return {**fields, "data": data}
+
+
+def state_columns(state: GraphState) -> dict:
+    """The state as columns edge, index, x, re, im, one row per grid point."""
+    E, N = state.values.shape
+    return {
+        "edge": np.repeat(np.arange(E), N),
+        "index": np.tile(np.arange(N), E),
+        "x": np.tile(state.spec.coordinates(), E),
+        "re": state.values.real.ravel(),
+        "im": state.values.imag.ravel(),
+    }

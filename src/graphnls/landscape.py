@@ -18,7 +18,6 @@ shift_perturbation.
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass, field
 
@@ -41,7 +40,7 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import best_omega, energy, energy_gradient, weighted_inner
+from .operators import best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
     _sesqui_energy_poly,
@@ -51,7 +50,7 @@ from .profiles import (
     solve_offset,
     stationary_state,
 )
-from .dynamics import FlowTrace
+from .dynamics import TraceRecorder
 
 
 @dataclass(frozen=True)
@@ -60,7 +59,7 @@ class CurveScan:
 
     param_name: str
     param_values: np.ndarray
-    closed_energy: np.ndarray | None
+    closed_energy: np.ndarray
     discrete_energy: np.ndarray
     metadata: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
@@ -69,7 +68,7 @@ class CurveScan:
         n = len(self.param_values)
         if len(self.discrete_energy) != n:
             raise DomainError("discrete_energy misaligned with param_values")
-        if self.closed_energy is not None and len(self.closed_energy) != n:
+        if len(self.closed_energy) != n:
             raise DomainError("closed_energy misaligned with param_values")
         for key, col in self.extras.items():
             if len(col) != n:
@@ -79,20 +78,12 @@ class CurveScan:
             if not (np.all(d > 0) or np.all(d < 0)):
                 raise DomainError("param_values must be strictly monotone")
 
-    def to_csv(self) -> str:
-        cols = ["param", "closed_energy", "discrete_energy"] + list(self.extras)
-        buf = io.StringIO()
-        buf.write(",".join(cols) + "\n")
-        closed = self.closed_energy
-        for k in range(len(self.param_values)):
-            row = [
-                self.param_values[k],
-                closed[k] if closed is not None else math.nan,
-                self.discrete_energy[k],
-            ]
-            row += [self.extras[key][k] for key in self.extras]
-            buf.write(",".join("%.17g" % v for v in row) + "\n")
-        return buf.getvalue()
+    @property
+    def columns(self) -> dict:
+        """The scan as table columns: param, closed_energy,
+        discrete_energy, then the extras."""
+        return {"param": self.param_values, "closed_energy": self.closed_energy,
+                "discrete_energy": self.discrete_energy, **self.extras}
 
 
 @dataclass(frozen=True)
@@ -114,16 +105,6 @@ class SaddleReport:
     def __post_init__(self):
         if not self.epsilon > 0:
             raise DomainError("probe epsilon must be positive")
-
-
-def saddle_reports_csv(reports) -> str:
-    buf = io.StringIO()
-    buf.write("direction,epsilon,second_difference\n")
-    for r in reports:
-        buf.write(
-            "%s,%.17g,%.17g\n" % (r.direction, r.epsilon, r.second_difference)
-        )
-    return buf.getvalue()
 
 
 def comparison_sesquisoliton(state: GraphState):
@@ -155,23 +136,26 @@ def comparison_sesquisoliton(state: GraphState):
     return perm, params, sesquisoliton(params, spec)
 
 
-def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
-    """Sesquisoliton energies along m1, closed form vs discrete.
-
-    m1 values must be strictly ascending within (0, M/3].  The discrete
-    energies are checked to be strictly increasing up to a 1e-8 slack
-    between neighbors, echoing the monotonicity of the closed form.
-    """
+def _m1_values(M: float, m1_values, descending: bool) -> np.ndarray:
+    """m1 values of a sesquisoliton scan, checked to be strictly
+    monotone (decreasing or ascending) within (0, M/3]."""
     if not M > 0:
         raise DomainError(f"total mass must be positive, got {M}")
     m1s = np.asarray(m1_values, dtype=float)
     if m1s.ndim != 1 or len(m1s) == 0:
         raise DomainError("m1_values must be a nonempty 1-D sequence")
-    if len(m1s) >= 2 and not np.all(np.diff(m1s) > 0):
-        raise DomainError("m1_values must be strictly ascending")
-    hi = (M / 3.0) * (1.0 + 1e-12)
-    if m1s[0] <= 0 or m1s[-1] > hi:
+    steps = np.diff(m1s)
+    if not np.all(-steps > 0 if descending else steps > 0):
+        order = "decreasing" if descending else "ascending"
+        raise DomainError(f"m1_values must be strictly {order}")
+    if not (m1s.min() > 0 and m1s.max() <= (M / 3.0) * (1.0 + 1e-12)):
         raise DomainError(f"m1 values must lie in (0, {M / 3.0}]")
+    return m1s
+
+
+def _sesqui_energies(M: float, m1s: np.ndarray, spec: GraphSpec):
+    """Closed-form energies, offsets and discrete energies of the
+    sesquisolitons with first-edge masses m1s."""
     closed = np.array([energy_sesqui_closed(m1, M) for m1 in m1s])
     offsets = np.empty_like(m1s)
     discrete = np.empty_like(m1s)
@@ -179,6 +163,18 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
         params = SesquiParams.solve(m1, M - m1)
         offsets[k] = params.offset
         discrete[k] = energy(sesquisoliton(params, spec)).total
+    return closed, offsets, discrete
+
+
+def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
+    """Sesquisoliton energies along m1, closed form vs discrete.
+
+    m1 values must be strictly ascending within (0, M/3].  The discrete
+    energies are checked to be strictly increasing up to a 1e-8 slack
+    between neighbors, echoing the monotonicity of the closed form.
+    """
+    m1s = _m1_values(M, m1_values, descending=False)
+    closed, offsets, discrete = _sesqui_energies(M, m1s, spec)
     if len(discrete) >= 2 and not np.all(np.diff(discrete) > -1e-8):
         raise GraphNLSError(
             "discrete sesquisoliton energies failed to increase along m1; "
@@ -196,8 +192,8 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
 
 def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
     """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation."""
-    if not lam > 0:
-        raise DomainError(f"dilation parameter must be positive, got {lam}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"dilation parameter must be positive and finite, got {lam}")
     if spec.edge_count != 3:
         raise DomainError("the dilation family lives on the 3-edge star")
     m = M / 3.0
@@ -218,8 +214,8 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
     lams = np.asarray(lambda_values, dtype=float)
     if lams.ndim != 1 or len(lams) == 0:
         raise DomainError("lambda_values must be a nonempty 1-D sequence")
-    if np.any(lams <= 0):
-        raise DomainError("lambda values must be positive")
+    if not np.all(np.isfinite(lams) & (lams > 0)):
+        raise DomainError("lambda values must be positive and finite")
     if len(lams) >= 2 and not np.all(np.diff(lams) > 0):
         raise DomainError("lambda values must be strictly ascending")
     if not np.any(np.isclose(lams, 1.0, rtol=0.0, atol=1e-9)):
@@ -254,16 +250,7 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     to stay at least 5 widths (width = 4/m2) from the far boundary,
     otherwise a TruncationError reports the admissible m1 floor.
     """
-    if not M > 0:
-        raise DomainError(f"total mass must be positive, got {M}")
-    m1s = np.asarray(m1_values, dtype=float)
-    if m1s.ndim != 1 or len(m1s) == 0:
-        raise DomainError("m1_values must be a nonempty 1-D sequence")
-    if len(m1s) >= 2 and not np.all(np.diff(m1s) < 0):
-        raise DomainError("m1_values must be strictly decreasing")
-    hi = (M / 3.0) * (1.0 + 1e-12)
-    if m1s[-1] <= 0 or m1s[0] > hi:
-        raise DomainError(f"m1 values must lie in (0, {M / 3.0}]")
+    m1s = _m1_values(M, m1_values, descending=True)
     L = spec.truncation_length
     for m1 in m1s:
         m2 = M - m1
@@ -277,13 +264,7 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
                 f"about {floor:.3e}",
                 floor,
             )
-    closed = np.array([energy_sesqui_closed(m1, M) for m1 in m1s])
-    offsets = np.empty_like(m1s)
-    discrete = np.empty_like(m1s)
-    for k, m1 in enumerate(m1s):
-        params = SesquiParams.solve(m1, M - m1)
-        offsets[k] = params.offset
-        discrete[k] = energy(sesquisoliton(params, spec)).total
+    closed, offsets, discrete = _sesqui_energies(M, m1s, spec)
     gaps = discrete - energy_infimum(M)
     if not np.all(gaps > 0):
         raise GraphNLSError("a minimizing-sequence energy fell below the infimum")
@@ -441,42 +422,18 @@ def gradient_flow_fixed_mass(
     h = spec.spacing
     N = spec.points_per_edge
 
-    times, masses, energies, phases, per_edge = [], [], [], [], []
-    grad_norms, peak_edges, peak_coords = [], [], []
-    initial = state0
+    recorder = TraceRecorder(state0)
     rejected = 0
 
     def build_trace(stop_reason, final_step):
-        return FlowTrace(
-            times=np.array(times),
-            masses=np.array(masses),
-            energies=np.array(energies),
-            vertex_phase=np.array(phases),
-            edge_masses=np.stack(per_edge, axis=0),
-            extras={
-                "grad_norm": np.array(grad_norms),
-                "peak_edge": np.array(peak_edges, dtype=float),
-                "peak_coordinate": np.array(peak_coords),
-            },
-            metadata={
-                "stop_reason": stop_reason,
-                "accepted_steps": len(times) - 1,
-                "rejected_steps": rejected,
-                "final_step": final_step,
-            },
-        )
+        return recorder.trace(stop_reason=stop_reason,
+                              accepted_steps=len(recorder) - 1,
+                              rejected_steps=rejected, final_step=final_step)
 
     def record(it, st, e_total, pg_norm):
-        em = edge_masses(st)
-        times.append(float(it))
-        masses.append(float(em.sum()))
-        energies.append(e_total)
-        phases.append(float(np.angle(weighted_inner(initial, st))))
-        per_edge.append(em)
-        grad_norms.append(pg_norm)
         flat = int(np.argmax(np.abs(st.values)))
-        peak_edges.append(flat // N)
-        peak_coords.append((flat % N) * h)
+        recorder.observe(it, st, e_total, grad_norm=pg_norm,
+                         peak_edge=flat // N, peak_coordinate=(flat % N) * h)
 
     def projected_gradient_norm(st, g):
         omega_hat = best_omega(st, g)

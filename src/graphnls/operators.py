@@ -40,11 +40,6 @@ from .graph_core import (
 )
 
 
-def weights(spec: GraphSpec) -> np.ndarray:
-    """Trapezoid weights replicated per edge, shape (E, N)."""
-    return np.broadcast_to(edge_weights(spec), (spec.edge_count, spec.points_per_edge)).copy()
-
-
 def weighted_inner(a: GraphState, b: GraphState) -> complex:
     """<a, b> = sum_e int conj(a_e) b_e with trapezoid weights."""
     w = edge_weights(a.spec)

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -150,17 +151,35 @@ class TestFlow:
         assert r.returncode == 2
 
     def test_json_trace_matches_csv(self, run, tmp_path):
-        args = ["flow", "--max-iters", "40", "--grad-tol", "1e-9"] + FAST
-        assert run(args + ["--out", "csv"], tmp_path).returncode == 0
-        assert run(args + ["--out", "json", "--format", "json"], tmp_path).returncode == 0
-        table = read_table(tmp_path / "csv" / "flow_trace.csv")
-        doc = json.loads((tmp_path / "json" / "flow_trace.json").read_text())
-        assert list(table) == ["t", "mass", "energy", "phase", "edge_mass_1",
-                               "edge_mass_2", "edge_mass_3", "grad_norm",
-                               "peak_edge", "peak_coordinate"]
-        assert doc["data"] == table
-        assert ((tmp_path / "csv" / "flow_summary.json").read_bytes()
-                == (tmp_path / "json" / "flow_summary.json").read_bytes())
+        # every subcommand that writes a table: JSON "data" holds the
+        # CSV columns bit for bit, and any summary is the same file
+        cases = [
+            (["scan", "sesqui"] + FAST, "scan_sesqui", None),
+            (["scan", "dilation"] + FAST, "scan_dilation", None),
+            (["scan", "minseq", "--m1", "1,0.5", "--points", "128", "--length", "60"],
+             "scan_minseq", None),
+            (["profile", "stationary"] + FAST, "profile_stationary", None),
+            (["profile", "sesqui"] + FAST, "profile_sesqui", None),
+            (["flow", "--max-iters", "40", "--grad-tol", "1e-9"] + FAST,
+             "flow_trace", "flow_summary.json"),
+            (["evolve", "--initial", "sesqui", "--t-final", "0.05"] + FAST,
+             "evolve_trace", "evolve_summary.json"),
+        ]
+        for args, stem, summary in cases:
+            assert run(args + ["--out", "csv"], tmp_path).returncode == 0
+            assert run(args + ["--out", "json", "--format", "json"],
+                       tmp_path).returncode == 0
+            table = read_table(tmp_path / "csv" / f"{stem}.csv")
+            doc = json.loads((tmp_path / "json" / f"{stem}.json").read_text())
+            assert doc["data"] == table, stem
+            if summary is not None:
+                assert ((tmp_path / "csv" / summary).read_bytes()
+                        == (tmp_path / "json" / summary).read_bytes())
+        assert list(read_table(tmp_path / "csv" / "flow_trace.csv")) == [
+            "t", "mass", "energy", "phase", "edge_mass_1", "edge_mass_2",
+            "edge_mass_3", "grad_norm", "peak_edge", "peak_coordinate"]
+        assert list(read_table(tmp_path / "csv" / "profile_sesqui.csv")) == [
+            "edge", "index", "x", "re", "im"]
 
 
 class TestEvolve:
@@ -205,12 +224,25 @@ class TestBadInput:
         ["flow", "--grad-tol", "inf"],
         ["flow", "--step", "inf"],
         ["flow", "--step", "nan"],
-        ["verify", "--edges", "4"],
+        ["flow", "--perturbation", "dilation:inf"],
+        ["scan", "dilation", "--lambda", "1,inf"],
+        ["verify", "--seed", "-1"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
-        r = run(args + ["--points", "64"], tmp_path)
+        # a numpy warning on the way to the error would be printed
+        # before it, so warnings fail the run here
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(args + ["--points", "64"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
+        assert not any(tmp_path.iterdir())
+
+    def test_edges_flag_is_unrecognized(self, run, tmp_path):
+        # the star has three edges; there is no --edges flag or key
+        r = run(["verify", "--edges", "4", "--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert "unrecognized arguments: --edges 4" in r.stderr
         assert not any(tmp_path.iterdir())
 
 
