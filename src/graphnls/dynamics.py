@@ -27,7 +27,8 @@ from .errors import (
     StepFailureError,
 )
 from .graph_core import GraphSpec, GraphState, edge_masses, edge_weights
-from .operators import _symmetrized, energy, weighted_inner
+from .operators import (_FAR_END_COUPLING, _laplacian_values, _symmetrized, energy,
+                        weighted_inner)
 from .profiles import half_soliton
 
 
@@ -170,7 +171,7 @@ class TraceRecorder:
 
 
 class _ArrowheadSolver:
-    """Direct solver for ((2i/dt) I + L) W = rhs with the Kirchhoff vertex.
+    """Direct solver for ((2i/dt) I + L) W = rhs, L as in _laplacian_values.
 
     Eliminating the E per-edge chains (each tridiagonal, sharing one
     matrix) against the single vertex unknown is a rank-one Schur
@@ -180,8 +181,6 @@ class _ArrowheadSolver:
     """
 
     def __init__(self, spec: GraphSpec, dt: float):
-        self.spec = spec
-        self.dt = dt
         h2 = spec.spacing ** 2
         n = spec.points_per_edge - 1
         diag = 2j / dt - 2.0 / h2
@@ -190,16 +189,14 @@ class _ArrowheadSolver:
         ab[0, 1:] = off
         ab[1, :] = diag
         ab[2, :-1] = off
+        ab[2, -2] = _FAR_END_COUPLING / h2
         self._ab = ab
-        self._h2 = h2
-        self._diag = diag
         # Coupling column: the vertex enters each chain's first row with
         # coefficient 1/h^2; z = T^{-1} e_1 / h^2.
         e1 = np.zeros(n, dtype=np.complex128)
         e1[0] = off
         self._z = solve_banded((1, 1), ab, e1)
-        E = spec.edge_count
-        self._vertex_coupling = 2.0 / (E * h2)
+        self._vertex_coupling = 2.0 / (spec.edge_count * h2)
         self._denom = diag - (2.0 / h2) * self._z[0]
 
     def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray):
@@ -316,10 +313,10 @@ def discrete_stationary_state(
 
     The analytic half-soliton samples satisfy the discrete stationarity
     equation only up to O(h^2); this routine solves the discrete system
-    -L u - u^3 + omega u = 0 (symmetric subspace: one real edge profile
-    u, vertex row 2(u1-u0)/h^2, Dirichlet far end) together with the
-    mass constraint E * sum(w u^2) = M, by a bordered-tridiagonal
-    Newton iteration on (u, omega).
+    -L u - u^3 + omega u = 0 (L of energy_gradient on the symmetric
+    subspace: one real edge profile u) together with the mass constraint
+    E * sum(w u^2) = M, by a bordered-tridiagonal Newton iteration on
+    (u, omega): a critical point of energy() at fixed mass on this grid.
 
     Returns (state, omega).  The residual floor is set by rounding in
     the h^-2 difference quotients (about 1e-10 at N = 4096), hence the
@@ -338,15 +335,9 @@ def discrete_stationary_state(
     u = half_soliton(m_edge, spec)
     omega = (m_edge ** 2) / 4.0
 
-    def lap_sym(u):
-        out = np.empty_like(u)
-        out[0] = 2.0 * (u[1] - u[0]) / h2
-        out[1:-1] = (u[:-2] - 2.0 * u[1:-1] + u[2:]) / h2
-        out[-1] = (u[-2] - 2.0 * u[-1]) / h2
-        return out
-
     for _ in range(max_iters):
-        G = -lap_sym(u) - u ** 3 + omega * u
+        lap = _laplacian_values(np.broadcast_to(u, (E, N)), spec)[0]
+        G = -lap - u ** 3 + omega * u
         G_mass = E * float((w * u ** 2).sum()) - M
         if max(float(np.max(np.abs(G))), abs(G_mass)) < tol:
             break
@@ -356,6 +347,7 @@ def discrete_stationary_state(
         ab[0, 1] = -2.0 / h2
         ab[0, 2:] = -1.0 / h2
         ab[2, :-1] = -1.0 / h2
+        ab[2, -2] = -_FAR_END_COUPLING / h2
         rhs = np.column_stack([-G, -u])
         sol = solve_banded((1, 1), ab, rhs)
         y, z = sol[:, 0], sol[:, 1]

@@ -109,11 +109,11 @@ def vertex_defect(state: GraphState) -> float:
     return float(np.max(np.abs(v - v[0])))
 
 
-def require_continuity(state: GraphState, tol: float = CONTINUITY_TOL) -> None:
+def require_continuity(state: GraphState) -> None:
     defect = vertex_defect(state)
-    if defect > tol:
+    if defect > CONTINUITY_TOL:
         raise ContinuityError(
-            f"vertex values disagree by {defect:.3e} (tol {tol:.1e})", defect
+            f"vertex values disagree by {defect:.3e} (tol {CONTINUITY_TOL:.1e})", defect
         )
 
 
@@ -146,8 +146,9 @@ def mass(state: GraphState) -> float:
 def kinetic_quadratic_form(state: GraphState) -> float:
     """Sum over edges of sum_j |psi(j+1)-psi(j)|^2 / h.
 
-    This is the discrete Dirichlet form whose exact gradient is the
-    natural-boundary Laplacian used by the energy gradient.
+    This is the discrete Dirichlet form; its exact gradient in the
+    trapezoid inner product is -2 L, with L the package's one Kirchhoff
+    Laplacian (natural far end, operators._laplacian_values).
     """
     h = state.spec.spacing
     d = np.diff(state.values, axis=1)

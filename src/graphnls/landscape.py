@@ -43,6 +43,7 @@ from .graph_core import (
 from .operators import best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
+    _scaled_sech,
     _sesqui_energy_poly,
     energy_infimum,
     energy_sesqui_closed,
@@ -191,14 +192,23 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
 
 
 def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
-    """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation."""
+    """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation.
+
+    lam is rejected when the kinetic energy lam^2 M^3/216 or the peak
+    |psi|^4 = (lam m^2/2)^2 times the graph's length overflows.
+    """
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"dilation parameter must be positive and finite, got {lam}")
     if spec.edge_count != 3:
         raise DomainError("the dilation family lives on the 3-edge star")
-    m = M / 3.0
+    # Python floats: the bound below overflows to inf without a warning
+    lam, m = float(lam), float(M) / 3.0
+    peak2 = lam * m * m / 2.0
+    if not math.isfinite(lam * lam * (m * m * m / 8.0)
+                         + peak2 * peak2 * 3.0 * spec.truncation_length):
+        raise DomainError(f"dilation parameter {lam:g} is too large: the energy overflows")
     x = spec.coordinates()
-    edge = np.sqrt(lam) * (m / math.sqrt(2.0)) / np.cosh(0.5 * m * lam * x)
+    edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam * x)
     return GraphState.from_edges(spec, [edge] * 3)
 
 
@@ -220,9 +230,6 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
         raise DomainError("lambda values must be strictly ascending")
     if not np.any(np.isclose(lams, 1.0, rtol=0.0, atol=1e-9)):
         raise DomainError("the dilation scan must include lambda = 1")
-    K = M ** 3 / 216.0
-    P = M ** 3 / 108.0
-    closed = lams ** 2 * K - lams * P
     discrete = np.empty_like(lams)
     masses = np.empty_like(lams)
     for k, lam in enumerate(lams):
@@ -230,6 +237,10 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
         rep = energy(st)
         discrete[k] = rep.total
         masses[k] = rep.mass
+    # after the loop, which rejects a lam whose energy overflows
+    K = M ** 3 / 216.0
+    P = M ** 3 / 108.0
+    closed = lams ** 2 * K - lams * P
     return CurveScan(
         param_name="lambda",
         param_values=lams,
@@ -497,9 +508,9 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gra
     x = spec.coordinates()
     amp = m / math.sqrt(2.0)
     rows = [
-        amp / np.cosh(m * x / 2.0),
-        amp / np.cosh(m * (x - eta) / 2.0),
-        amp / np.cosh(m * (x + eta) / 2.0),
+        _scaled_sech(amp, m * x / 2.0),
+        _scaled_sech(amp, m * (x - eta) / 2.0),
+        _scaled_sech(amp, m * (x + eta) / 2.0),
     ]
     vals = np.asarray(rows, dtype=complex)
     vals[:, 0] = vals[:, 0].mean()

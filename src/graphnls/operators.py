@@ -10,17 +10,6 @@ gradient of that discrete functional with respect to the trapezoid
 inner product, which is what makes finite-difference directional
 derivatives match to machine precision and makes descent methods
 honest.
-
-Two Laplacian closures appear at the far end x = L:
-
-* apply_laplacian uses a Dirichlet ghost point (the PDE on the half
-  line, truncated where the state should have decayed to zero anyway);
-
-* the gradient uses the natural (free) end that the quadratic form
-  itself induces.
-
-They differ only in the last grid point of each edge and agree to
-rounding on states that vanish at the truncation boundary.
 """
 
 from __future__ import annotations
@@ -29,7 +18,6 @@ import numpy as np
 
 from .errors import DegenerateStateError, DomainError
 from .graph_core import (
-    CONTINUITY_TOL,
     EnergyReport,
     GraphSpec,
     GraphState,
@@ -58,7 +46,13 @@ def _symmetrized(values: np.ndarray) -> np.ndarray:
     return out
 
 
-def _laplacian_values(values: np.ndarray, spec: GraphSpec, far_end: str) -> np.ndarray:
+# Natural far end: the ghost point beyond x = L mirrors psi[-2], so the
+# last row couples to its neighbour with this weight over h^2.  The
+# stencil, the CN solver's bands and the Newton Jacobian all read it.
+_FAR_END_COUPLING = 2.0
+
+
+def _laplacian_values(values: np.ndarray, spec: GraphSpec) -> np.ndarray:
     h = spec.spacing
     h2 = h * h
     E = spec.edge_count
@@ -68,24 +62,19 @@ def _laplacian_values(values: np.ndarray, spec: GraphSpec, far_end: str) -> np.n
     # sum_e psi_e'(0) = 0 closes the stencil as an average over edges.
     v = values[0, 0]
     out[:, 0] = (2.0 / (E * h2)) * np.sum(values[:, 1] - v)
-    if far_end == "dirichlet":
-        out[:, -1] = (values[:, -2] - 2.0 * values[:, -1]) / h2
-    elif far_end == "natural":
-        out[:, -1] = 2.0 * (values[:, -2] - values[:, -1]) / h2
-    else:
-        raise ValueError(f"unknown far_end closure {far_end!r}")
+    out[:, -1] = (_FAR_END_COUPLING * values[:, -2] - 2.0 * values[:, -1]) / h2
     return out
 
 
-def apply_laplacian(state: GraphState, continuity_tol: float = CONTINUITY_TOL) -> GraphState:
-    """Kirchhoff Laplacian with a Dirichlet ghost point at x = L.
+def apply_laplacian(state: GraphState) -> GraphState:
+    """Kirchhoff Laplacian with the natural far end, as in energy_gradient.
 
-    Raises ContinuityError if the state is not vertex continuous; the
-    vertex stencil is only the Laplacian under the Kirchhoff condition.
+    Symmetric and negative semidefinite in the trapezoid inner product.
+    Raises ContinuityError if the state is not vertex continuous.
     """
-    require_continuity(state, continuity_tol)
+    require_continuity(state)
     vals = _symmetrized(state.values)
-    return GraphState(state.spec, _laplacian_values(vals, state.spec, "dirichlet"))
+    return GraphState(state.spec, _laplacian_values(vals, state.spec))
 
 
 def energy(state: GraphState) -> EnergyReport:
@@ -102,12 +91,11 @@ def energy_gradient(state: GraphState) -> GraphState:
     """Exact gradient of the discrete energy w.r.t. the trapezoid inner product.
 
     grad E = -L psi - |psi|^2 psi, where L is the Kirchhoff Laplacian
-    with the natural far-end closure induced by the difference-quotient
-    form.  Satisfies (E(psi + eps eta) - E(psi - eps eta)) / (2 eps)
-    = Re <grad E, eta> up to O(eps^2) for every direction eta.
+    with the natural far end.  Satisfies (E(psi + eps eta) - E(psi -
+    eps eta)) / (2 eps) = Re <grad E, eta> + O(eps^2) for every eta.
     """
     vals = _symmetrized(state.values)
-    lap = _laplacian_values(vals, state.spec, "natural")
+    lap = _laplacian_values(vals, state.spec)
     grad = -lap - (np.abs(vals) ** 2) * vals
     return GraphState(state.spec, grad)
 

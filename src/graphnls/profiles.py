@@ -37,12 +37,18 @@ from .graph_core import GraphSpec, GraphState
 _OFFSET_EDGE_SLACK = 1e-14
 
 
+def _scaled_sech(amp, z) -> np.ndarray:
+    """amp / cosh(z), silent where cosh overflows: the quotient is below 1e-308 amp."""
+    with np.errstate(over="ignore"):
+        return amp / np.cosh(z)
+
+
 def half_soliton(m: float, spec: GraphSpec) -> np.ndarray:
     """Samples of (m/sqrt(2)) sech(m x / 2) on one edge, shape (N,)."""
     if not m > 0:
         raise DomainError(f"soliton mass must be positive, got {m}")
     x = spec.coordinates()
-    return (m / math.sqrt(2.0)) / np.cosh(0.5 * m * x)
+    return _scaled_sech(m / math.sqrt(2.0), 0.5 * m * x)
 
 
 def line_soliton(m: float, y: float, xi) -> np.ndarray:
@@ -50,7 +56,7 @@ def line_soliton(m: float, y: float, xi) -> np.ndarray:
     if not m > 0:
         raise DomainError(f"soliton mass must be positive, got {m}")
     xi = np.asarray(xi, dtype=float)
-    return (m / (2.0 * math.sqrt(2.0))) / np.cosh(0.25 * m * (xi - y))
+    return _scaled_sech(m / (2.0 * math.sqrt(2.0)), 0.25 * m * (xi - y))
 
 
 def solve_offset(m1: float, m2: float) -> float:

@@ -226,6 +226,8 @@ class TestBadInput:
         ["flow", "--step", "nan"],
         ["flow", "--perturbation", "dilation:inf"],
         ["scan", "dilation", "--lambda", "1,inf"],
+        ["scan", "dilation", "--lambda", "1,1e300"],
+        ["flow", "--perturbation", "dilation:1e300"],
         ["verify", "--seed", "-1"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
@@ -237,6 +239,23 @@ class TestBadInput:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert not any(tmp_path.iterdir())
+
+    def test_overflowing_dilation_is_named(self, run, tmp_path):
+        r = run(["scan", "dilation", "--lambda", "1,1e300", "--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert "1e+300" in r.stderr
+
+    @pytest.mark.parametrize("args", [
+        ["scan", "dilation", "--lambda", "1,1000"],
+        ["profile", "stationary", "--mass", "1000"],
+    ], ids="_".join)
+    def test_sech_underflow_is_silent(self, run, tmp_path, args):
+        # cosh overflows far out on the edge, where amp/cosh is 0 anyway
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(args + ["--points", "64"], tmp_path)
+        assert r.returncode == 0
+        assert r.stderr == ""
 
     def test_edges_flag_is_unrecognized(self, run, tmp_path):
         # the star has three edges; there is no --edges flag or key

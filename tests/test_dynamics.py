@@ -12,7 +12,9 @@ from graphnls import (
     StallError,
     StepFailureError,
     TruncationError,
+    best_omega,
     discrete_stationary_state,
+    el_residual,
     evolve,
     gradient_flow_fixed_mass,
     mass,
@@ -60,6 +62,16 @@ class TestConservation:
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.1,
                                               observe_every=10))
         assert trace.mass_drift < 1e-12
+
+    def test_short_edges_conserve_mass_and_energy(self):
+        # on L = 5 the half-soliton edge is still 0.12 at x = L, so the
+        # far-end row of the propagator must be the one energy() uses
+        spec = GraphSpec(3, 5.0, 512)
+        st = sesquisoliton(SesquiParams.solve(1.0, 5.0), spec)
+        _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=1.0,
+                                              observe_every=10))
+        assert trace.mass_drift <= 1e-10
+        assert trace.energy_drift <= 1e-6
 
     def test_energy_drift_scales_as_dt_squared(self, newton_512):
         st, _ = newton_512
@@ -131,6 +143,12 @@ class TestNewtonRefinement:
         d_sampled = np.max(np.abs(np.abs(after_sampled.values) - np.abs(sampled.values)))
         assert d_newton < 1e-2 * d_sampled
         assert omega == pytest.approx(info.omega, rel=1e-2)
+
+    def test_short_edge_profile_is_a_critical_point_of_the_energy(self):
+        # on L = 5 the profile is still 2e-2 at x = L, so a far-end row
+        # other than the energy gradient's leaves a visible residual
+        newton, _ = discrete_stationary_state(M, GraphSpec(3, 5.0, 256))
+        assert el_residual(newton, best_omega(newton)) <= 1e-9
 
 
 class TestFailureModes:
