@@ -1,11 +1,14 @@
 """Fixed-mass gradient descent from two perturbations of the stationary state.
 
-Moving mass from edge 0 equally onto edges 1 and 2 keeps those edges
-interchangeable, and in that symmetric sector the stationary state is a
-strict constrained minimum: the flow climbs right back.  Sliding mass
-between edges 1 and 2 breaks the symmetry and opens the descent channel
-along the sesquisoliton family; the energy then falls well below the
-stationary value and keeps going toward (never to) -M^3/96.
+Moving mass from edge 0 equally onto edges 1 and 2 (the deposit start)
+keeps those edges interchangeable, and the flow comes right back to the
+stationary energy.  The symmetry is not the reason: the mirror start,
+which gathers mass onto edge 0 from edges 1 and 2, keeps them equal too
+and escapes along edge 0.  Only a start that treats all three edges
+alike returns by symmetry.  Sliding mass between edges 1 and 2 (the
+shift start) opens the descent channel along the sesquisoliton family;
+the energy then falls well below the stationary value and keeps going
+toward (never to) -M^3/96.
 
 The explicit flow needs its step bounded by the grid stiffness, so this
 demo runs on a deliberately coarse grid (N = 512).
@@ -53,12 +56,12 @@ def main():
     print(f"stationary energy {e_star}, infimum {energy_infimum(M)}\n")
 
     deposit = run("deposit", deposit_perturbation(M, spec, 0.01), 4000)
-    print("  symmetric start: the flow returns to the stationary energy,\n"
+    print("  deposit start: the flow returns to the stationary energy,\n"
           f"  final gap {abs(deposit.energies[-1] - e_star):.2e}\n")
 
     shift = run("shift", shift_perturbation(M, spec, 0.01), 40000)
     final = shift.energies[-1]
-    print(f"  asymmetric start: final energy {final:+.6f} is "
+    print(f"  shift start: final energy {final:+.6f} is "
           f"{e_star - final:.4f} below the stationary value;")
     print("  the state is sliding down the sesquisoliton channel, pushing")
     print("  one soliton bump away from the vertex.")

@@ -53,8 +53,9 @@ def main():
     print(f"on the family itself, d2E/dm1^2 at m1 = M/3 is {d2:+.6f}")
     print(f"(exactly -M/8 = {-M/8}): the curve does fall away from the")
     print("stationary state, it just leaves along a cusp rather than a")
-    print("straight line, which is why the flow needs a symmetry-breaking")
-    print("start to find it (see gradient_descent_escape.py).")
+    print("straight line, which is why a flow started near the saddle")
+    print("returns or escapes depending on the direction of its start")
+    print("(see gradient_descent_escape.py).")
 
     path = os.path.join(OUT, "saddle_probes.csv")
     with open(path, "w") as fh:

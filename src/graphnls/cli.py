@@ -312,6 +312,8 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
         "dt": config.dt,
         "t_final": config.t_final,
         "steps": evo.steps,
+        "fixed_point_iters_per_step":
+            float(trace.extras["fixed_point_iters"].sum()) / evo.steps,
     }
     trace_path = _write(config, "evolve_trace", trace.columns)
     summary_path = _write_json(config, "evolve_summary.json", summary)

@@ -5,6 +5,10 @@ nonlinearity evaluated at the midpoint), solved per step by fixed-point
 iteration on the nonlinear term around a direct linear solve.  The
 linear system couples E tridiagonal edge blocks through the single
 shared vertex unknown; arrowhead elimination keeps each solve O(E*N).
+evolve starts each step's iteration from the midpoint extrapolated from
+the two latest states, 1.5 Psi_n - 0.5 Psi_{n-1}, which saves about one
+solve per step over starting from Psi_n; the first step starts from
+Psi_0.
 
 The scheme is time-symmetric, conserves mass at the fixed point, and
 keeps the energy drift O(dt^2) per unit time.  The stationary state
@@ -177,7 +181,7 @@ class _ArrowheadSolver:
     matrix) against the single vertex unknown is a rank-one Schur
     complement: one banded solve per right-hand side plus a scalar
     division.  The same tridiagonal factors serve every edge because
-    the grid is uniform and shared.
+    the grid is uniform and shared.  solves counts the calls to solve().
     """
 
     def __init__(self, spec: GraphSpec, dt: float):
@@ -198,18 +202,26 @@ class _ArrowheadSolver:
         self._z = solve_banded((1, 1), ab, e1)
         self._vertex_coupling = 2.0 / (spec.edge_count * h2)
         self._denom = diag - (2.0 / h2) * self._z[0]
+        self.solves = 0
 
-    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray):
-        """Solve for (vertex value, per-edge chains of length N-1)."""
-        Y = solve_banded((1, 1), self._ab, rhs_edges.T)
+    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
+        """Write the solution into out, shape (E, N): the vertex value
+        in column 0 and the per-edge chains of length N-1 after it.
+        rhs_edges must be finite; the result is not checked."""
+        self.solves += 1
+        Y = solve_banded((1, 1), self._ab, rhs_edges.T, check_finite=False)
         v = (rhs_vertex - self._vertex_coupling * Y[0, :].sum()) / self._denom
-        return v, Y.T - v * self._z
+        out[:, 0] = v
+        chains = out[:, 1:]
+        np.multiply(self._z, -v, out=chains)
+        chains += Y.T
 
 
 def step_crank_nicolson(
     state: GraphState,
     dt: float,
     *,
+    previous: GraphState | None = None,
     fixed_point_tol: float = 1e-12,
     max_fixed_point_iters: int = 50,
     solver: _ArrowheadSolver | None = None,
@@ -219,40 +231,56 @@ def step_crank_nicolson(
     Solves (2i/dt) W + L W = (2i/dt) Psi - |W|^2 W for the midpoint W
     by lagging the cubic term, then returns 2W - Psi.  The vertex is a
     single unknown, so input values are first projected to their vertex
-    mean.  Raises StepFailureError when the fixed point does not
-    converge (the contraction factor scales with dt*max|Psi|^2, so a
-    smaller dt is the usual remedy).
+    mean.  The iteration starts from Psi; given the state one step
+    earlier as previous, it starts from the extrapolated midpoint
+    1.5 Psi - 0.5 previous instead, which is O(dt^2) closer to W and
+    saves about one iteration per step.  The start changes the result
+    only at the fixed-point tolerance.
+
+    Raises StepFailureError when the fixed point does not converge or
+    an iterate overflows (the contraction factor scales with
+    dt*max|Psi|^2, so a smaller dt is the usual remedy).
     """
     if dt == 0.0:
         raise DomainError("dt must be nonzero")
     spec = state.spec
+    if previous is not None and previous.spec != spec:
+        raise DomainError("previous state is on another grid")
     if solver is None:
         solver = _ArrowheadSolver(spec, dt)
     vals = _symmetrized(state.values)
     b = (2j / dt) * vals
     w = edge_weights(spec)
-    W = vals.copy()
-    norm_prev = None
-    for _ in range(max_fixed_point_iters):
-        rhs = b - (np.abs(W) ** 2) * W
-        v, chains = solver.solve(rhs[0, 0], rhs[:, 1:])
-        W_next = np.empty_like(W)
-        W_next[:, 0] = v
-        W_next[:, 1:] = chains
-        if not np.all(np.isfinite(W_next.view(np.float64))):
-            raise StepFailureError("midpoint iteration produced non-finite values", 0)
-        diff = np.sqrt((w * np.abs(W_next - W) ** 2).sum())
-        scale = max(1.0, np.sqrt((w * np.abs(W_next) ** 2).sum()))
-        W = W_next
-        norm_prev = diff
-        if diff <= fixed_point_tol * scale:
-            return GraphState(spec, 2.0 * W - vals)
-    raise StepFailureError(
-        f"midpoint fixed point did not reach tol {fixed_point_tol:.1e} in "
-        f"{max_fixed_point_iters} iterations (last update {norm_prev:.3e}); "
-        "try a smaller dt",
-        0,
-    )
+    if previous is None:
+        W = vals.copy()
+    else:  # 1.5 vals - 0.5 previous, built in the symmetrized copy
+        W = _symmetrized(previous.values)
+        W *= -0.5
+        W += 1.5 * vals
+    W_next = np.empty_like(W)
+    diff = math.nan
+    # an overflowing iterate ends the step below, so numpy stays silent
+    with np.errstate(over="ignore", invalid="ignore"):
+        for _ in range(max_fixed_point_iters):
+            rhs = b - (np.abs(W) ** 2) * W
+            if not np.all(np.isfinite(rhs.view(np.float64))):
+                break
+            solver.solve(rhs[0, 0], rhs[:, 1:], W_next)
+            diff = np.sqrt((w * np.abs(W_next - W) ** 2).sum())
+            norm = np.sqrt((w * np.abs(W_next) ** 2).sum())
+            if not (math.isfinite(diff) and math.isfinite(norm)):
+                break
+            W, W_next = W_next, W
+            if diff <= fixed_point_tol * max(1.0, norm):
+                return GraphState(spec, 2.0 * W - vals)
+        else:
+            raise StepFailureError(
+                f"midpoint fixed point did not reach tol {fixed_point_tol:.1e} in "
+                f"{max_fixed_point_iters} iterations (last update {diff:.3e}); "
+                "try a smaller dt",
+                0,
+            )
+    raise StepFailureError("midpoint iteration overflowed; try a smaller dt", 0)
 
 
 def evolve(state: GraphState, config: EvolutionConfig):
@@ -261,27 +289,37 @@ def evolve(state: GraphState, config: EvolutionConfig):
     The number of steps is config.steps = round(t_final/|dt|).
     Non-vertex-continuous input is projected to its vertex mean once at
     entry; the projected state is what the t = 0 trace row records.  The
-    trace samples every observe_every-th step plus the final one.
+    trace samples every observe_every-th step plus the final one.  Every
+    step after the first starts its midpoint iteration from the
+    extrapolation of the two latest states.  The trace's extra column
+    fixed_point_iters holds the midpoint iterations (one linear solve
+    each) taken since the previous row; row 0 reads 0.
     """
     n_steps = config.steps
     spec = state.spec
     current = GraphState(spec, _symmetrized(state.values))
     recorder = TraceRecorder(current)
-    recorder.observe(0.0, current, energy(current).total)
+    recorder.observe(0.0, current, energy(current).total, fixed_point_iters=0)
     solver = _ArrowheadSolver(spec, config.dt)
+    previous = None
+    recorded_solves = 0
     for k in range(1, n_steps + 1):
         try:
-            current = step_crank_nicolson(
+            stepped = step_crank_nicolson(
                 current,
                 config.dt,
+                previous=previous,
                 fixed_point_tol=config.fixed_point_tol,
                 max_fixed_point_iters=config.max_fixed_point_iters,
                 solver=solver,
             )
         except StepFailureError as exc:
             raise StepFailureError(f"step {k}: {exc}", k) from None
+        previous, current = current, stepped
         if k % config.observe_every == 0 or k == n_steps:
-            recorder.observe(k * config.dt, current, energy(current).total)
+            recorder.observe(k * config.dt, current, energy(current).total,
+                             fixed_point_iters=solver.solves - recorded_solves)
+            recorded_solves = solver.solves
     return current, recorder.trace()
 
 

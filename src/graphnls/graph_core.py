@@ -51,6 +51,12 @@ class GraphSpec:
             raise DomainError(
                 f"truncation_length {self.truncation_length} gives a grid spacing of zero"
             )
+        # coordinates() computes j*spacing in np.linspace; the last product
+        # must not overflow (Python floats give inf here without a warning)
+        if not math.isfinite((self.points_per_edge - 1) * self.spacing):
+            raise DomainError(
+                f"truncation_length {self.truncation_length} overflows the grid coordinates"
+            )
 
     @property
     def spacing(self) -> float:

@@ -11,9 +11,12 @@ phase direction is flat.  The saddle is degenerate: the family meets
 the stationary state in a cusp, the descent along it is quartic in the
 peak offset, and the constrained second-difference probe along any
 straight chord of the family measures a nonnegative quadratic form.
-Escape under the fixed-mass gradient flow therefore needs a start that
-breaks the symmetry between the two unshrunken edges; see
-shift_perturbation.
+Under the fixed-mass gradient flow a start that treats all three edges
+alike returns to the stationary state.  Keeping only edges 1 and 2
+equal does not decide the outcome: deposit_perturbation (mass moved off
+edge 0) returns, while its mirror (mass gathered onto edge 0) escapes
+along edge 0.  shift_perturbation escapes along the sesquisoliton
+family.
 """
 
 from __future__ import annotations
@@ -451,38 +454,41 @@ def gradient_flow_fixed_mass(
         r = g.values + omega_hat * st.values
         return float(np.sqrt((w * np.abs(r) ** 2).sum()))
 
-    current = state0
-    e_current = energy(current).total
-    g = energy_gradient(current)
-    pg = projected_gradient_norm(current, g)
-    record(0, current, e_current, pg)
-    s = step
-    for it in range(1, max_iters + 1):
-        if pg <= grad_tol:
-            break
-        while True:
-            try:
-                trial = rescale_mass(
-                    GraphState(spec, current.values - s * g.values), M0
-                )
-            except DomainError:  # the unprojected trial overflowed
-                e_trial = math.inf
-            else:
-                e_trial = energy(trial).total
-            if e_trial < e_current:
-                break
-            rejected += 1
-            s *= 0.5
-            if s < 1e-12:
-                raise StallError(
-                    "gradient flow stalled: no descent step above 1e-12",
-                    build_trace("stalled", s),
-                )
-        current, e_current = trial, e_trial
-        s = min(s * 1.2, step)
+    # a trial that overflows is rejected below, so numpy stays silent;
+    # one errstate for the whole flow costs nothing per trial
+    with np.errstate(over="ignore", invalid="ignore"):
+        current = state0
+        e_current = energy(current).total
         g = energy_gradient(current)
         pg = projected_gradient_norm(current, g)
-        record(it, current, e_current, pg)
+        record(0, current, e_current, pg)
+        s = step
+        for it in range(1, max_iters + 1):
+            if pg <= grad_tol:
+                break
+            while True:
+                try:
+                    trial = rescale_mass(
+                        GraphState(spec, current.values - s * g.values), M0
+                    )
+                except DomainError:  # the unprojected trial overflowed
+                    e_trial = math.inf
+                else:
+                    e_trial = energy(trial).total
+                if e_trial < e_current:
+                    break
+                rejected += 1
+                s *= 0.5
+                if s < 1e-12:
+                    raise StallError(
+                        "gradient flow stalled: no descent step above 1e-12",
+                        build_trace("stalled", s),
+                    )
+            current, e_current = trial, e_trial
+            s = min(s * 1.2, step)
+            g = energy_gradient(current)
+            pg = projected_gradient_norm(current, g)
+            record(it, current, e_current, pg)
     reason = "converged" if pg <= grad_tol else "max_iters"
     return current, build_trace(reason, s)
 
@@ -522,10 +528,10 @@ def deposit_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> G
 
     Edge 0 is scaled down and every other edge scaled up so that
     `fraction` of the total mass leaves edge 0, split evenly.  The
-    result keeps the symmetry among the receiving edges, and in that
-    symmetric subspace the stationary state is a strict constrained
-    local minimum: the gradient flow carries this start back to the
-    stationary energy instead of escaping.
+    gradient flow carries this start back to the stationary energy
+    instead of escaping.  The equal receiving edges do not cause that:
+    the mirror start, with mass gathered onto edge 0, keeps the same
+    symmetry and escapes along edge 0.
     """
     if not 0.0 < fraction < 1.0 / 3.0:
         raise DomainError("fraction must lie in (0, 1/3)")

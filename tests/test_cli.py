@@ -190,7 +190,21 @@ class TestEvolve:
         summary = json.loads((tmp_path / "evolve_summary.json").read_text())
         assert summary["measured_omega"] == pytest.approx(1.0, abs=5e-3)
         assert summary["mass_drift"] < 1e-12
-        assert (tmp_path / "evolve_trace.csv").exists()
+        table = read_table(tmp_path / "evolve_trace.csv")
+        assert list(table) == ["t", "mass", "energy", "phase", "edge_mass_1",
+                               "edge_mass_2", "edge_mass_3", "fixed_point_iters"]
+        iters = table["fixed_point_iters"]
+        assert iters[0] == 0
+        assert summary["fixed_point_iters_per_step"] == sum(iters) / summary["steps"]
+
+    def test_diverging_step_fails_without_a_traceback(self, run, tmp_path):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(["evolve", "--mass", "1e3", "--points", "64", "--t-final", "0.01"],
+                    tmp_path)
+        assert r.returncode == 1
+        assert r.stderr.startswith("evolution failed: step 1: ")
+        assert r.stderr.rstrip().endswith("try a smaller dt")
 
     def test_bad_step_split_exit_2(self, run, tmp_path):
         r = run(["evolve", "--dt", "0.3", "--t-final", "1.0"] + FAST,
@@ -254,6 +268,15 @@ class TestBadInput:
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             r = run(args + ["--points", "64"], tmp_path)
+        assert r.returncode == 0
+        assert r.stderr == ""
+
+    def test_overflowing_flow_trials_are_silent(self, run, tmp_path):
+        # every trial from this start overflows and is rejected
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(["flow", "--perturbation", "dilation:1e152", "--points", "64",
+                     "--max-iters", "50"], tmp_path)
         assert r.returncode == 0
         assert r.stderr == ""
 

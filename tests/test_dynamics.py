@@ -1,5 +1,7 @@
 """Crank-Nicolson evolution: conservation, order, reversal, failure modes."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -74,7 +76,9 @@ class TestConservation:
         assert trace.energy_drift <= 1e-6
 
     def test_energy_drift_scales_as_dt_squared(self, newton_512):
-        st, _ = newton_512
+        # a moving state: the standing wave keeps its energy to rounding
+        # (~1e-14, not monotone in dt), so it shows no dt^2 law
+        st = sesquisoliton(SesquiParams.solve(1.0, 5.0), newton_512[0].spec)
         drifts = []
         for dt in (2e-3, 1e-3):
             _, tr = evolve(st, EvolutionConfig(dt=dt, t_final=0.1,
@@ -95,6 +99,42 @@ class TestConservation:
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.2,
                                               observe_every=10))
         assert measure_omega(trace) == pytest.approx(M * M / 36.0, abs=2e-3)
+
+
+class TestMidpointIteration:
+    def test_extrapolated_start_saves_a_solve(self, newton_512):
+        # every step after the first starts from 1.5 psi_n - 0.5 psi_{n-1},
+        # one iteration closer than psi_n (4 per step from psi_n)
+        st, _ = newton_512
+        _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
+        iters = trace.extras["fixed_point_iters"]
+        assert iters[0] == 0
+        assert iters[2:].mean() <= 3.1
+
+    def test_iterations_add_up_across_rows(self, newton_512):
+        st, _ = newton_512
+        every = dict(dt=1e-3, t_final=0.05)
+        _, each = evolve(st, EvolutionConfig(**every))
+        _, tenth = evolve(st, EvolutionConfig(observe_every=10, **every))
+        per_step = each.extras["fixed_point_iters"]
+        assert np.array_equal(tenth.extras["fixed_point_iters"],
+                              np.concatenate([[0], per_step[1:].reshape(-1, 10).sum(axis=1)]))
+
+    @pytest.mark.parametrize("moving", [False, True], ids=["standing", "sesqui"])
+    def test_start_moves_the_step_only_at_the_tolerance(self, newton_512, moving):
+        st, _ = newton_512
+        if moving:
+            st = sesquisoliton(SesquiParams.solve(1.0, 5.0), st.spec)
+        p, st = st, step_crank_nicolson(st, 1e-3)
+        a = step_crank_nicolson(st, 1e-3)
+        b = step_crank_nicolson(st, 1e-3, previous=p)
+        assert np.max(np.abs(a.values - b.values)) <= 1e-11
+
+    def test_previous_on_another_grid_rejected(self, newton_512, coarse_spec):
+        st, _ = newton_512
+        other, _ = discrete_stationary_state(M, coarse_spec)
+        with pytest.raises(DomainError):
+            step_crank_nicolson(st, 1e-3, previous=other)
 
 
 class TestStructure:
@@ -157,6 +197,17 @@ class TestFailureModes:
         with pytest.raises(StepFailureError) as exc:
             evolve(st, EvolutionConfig(dt=1.0, t_final=2.0))
         assert exc.value.step_index >= 1
+
+    def test_overflowing_iterate_fails_the_step_silently(self):
+        # at M = 1000 the midpoint iteration diverges within the first step
+        spec = GraphSpec(3, 30.0, 64)
+        st, _ = stationary_state(1e3, spec)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailureError) as exc:
+                evolve(st, EvolutionConfig(dt=1e-3, t_final=0.01))
+        assert exc.value.step_index == 1
+        assert "try a smaller dt" in str(exc.value)
 
     def test_undersampled_phase_detected(self):
         # omega = 1, so 3 time units between samples advances the phase

@@ -7,9 +7,10 @@ never a ValueError, an OverflowError or a failure part-way through.
 """
 
 import math
+import sys
+import warnings
 
 import numpy as np
-import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
@@ -30,14 +31,20 @@ FLOW_START = shift_perturbation(M, GraphSpec(3, 20.0, 32), 0.01)
 @given(st.floats())
 @example(math.inf)
 @example(5e-324)
+@example(sys.float_info.max)
 def test_graph_spec_length(length):
     try:
         spec = GraphSpec(3, length, 16)
     except DomainError:
-        assert not (math.isfinite(length) and length / 15 > 0)
+        # np.linspace computes 15 * (length / 15) for the last coordinate
+        assert not (math.isfinite(length) and length / 15 > 0
+                    and math.isfinite(15 * (length / 15)))
         return
     assert math.isfinite(spec.spacing) and spec.spacing > 0
-    assert np.all(np.isfinite(spec.coordinates()))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        coordinates = spec.coordinates()
+    assert np.all(np.isfinite(coordinates))
 
 
 @given(st.floats(), st.floats())
@@ -57,8 +64,6 @@ def test_evolution_config_time_grid(dt, t_final):
     assert abs(config.steps * abs(dt) - t_final) <= 1e-9 * t_final
 
 
-@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
 @settings(deadline=None)
 @given(st.floats(), st.floats())
 @example(0.1, 1e-3)

@@ -193,9 +193,9 @@ class TestDescentFlow:
         assert trace.mass_drift < 1e-12
 
     def test_symmetric_start_returns_to_the_stationary_energy(self, coarse_spec):
-        # moving mass from edge 0 equally onto edges 1 and 2 keeps the
-        # 1<->2 symmetry, and in that sector the stationary state is a
-        # strict constrained minimum: the flow falls back onto it
+        # moving mass from edge 0 equally onto edges 1 and 2: the flow
+        # falls back onto the stationary state.  The 1<->2 symmetry is not
+        # why; gathering mass onto edge 0 keeps it too and escapes
         newton, _ = discrete_stationary_state(M, coarse_spec)
         e_star = energy(newton).total
         start = deposit_perturbation(M, coarse_spec, 0.01)
