@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -36,7 +36,8 @@ from .landscape import (
     shift_perturbation,
 )
 from .operators import energy
-from .profiles import SesquiParams, energy_infimum, sesquisoliton, stationary_state
+from .profiles import (SesquiParams, _require_finite_energy, energy_infimum,
+                       sesquisoliton, stationary_state)
 
 _DEFAULT_RANGES = {
     "sesqui": "0.01:2.0:40",
@@ -68,17 +69,17 @@ class RunConfig:
             raise DomainError(f"mass must be positive and finite, got {self.mass}")
         if self.seed < 0:
             raise DomainError(f"seed must be nonnegative, got {self.seed}")
-        self.spec()  # grid validation
+        _require_finite_energy(self.mass, 1.0, self.spec())  # checks the grid too
 
 
-_CASTS = {"mass": float, "length": float, "points": int,
-          "dt": float, "t_final": float, "seed": int, "out": str, "format": str}
+_CASTS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
 def _load_config_file(path: str) -> dict:
     values = {}
     try:
-        text = open(path, encoding="utf-8").read()
+        with open(path, encoding="utf-8") as fh:
+            text = fh.read()
     except OSError as exc:
         raise DomainError(f"cannot read config file: {exc}") from exc
     for raw in text.splitlines():
@@ -176,15 +177,11 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     results = run_acceptance(mass_value=config.mass, length=config.length,
                              points=config.points, dt=config.dt,
                              t_final=config.t_final, seed=config.seed)
-    checks = [{
-        "name": r.name, "criterion": r.criterion, "observed": r.observed,
-        "expected": r.expected, "tolerance": r.tolerance, "passed": r.passed,
-    } for r in results]
     ok = all_passed(results)
     report = {
         "version": __version__,
-        "config": {name: getattr(config, name) for name in _CASTS},
-        "checks": checks,
+        "config": asdict(config),
+        "checks": [asdict(r) for r in results],
         "all_passed": ok,
     }
     path = _write_json(config, "verify_report.json", report)
@@ -215,13 +212,15 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _named_state(kind: str, config: RunConfig, args: argparse.Namespace):
+    if kind == "stationary":
+        return stationary_state(config.mass, config.spec())[0]
+    return sesquisoliton(SesquiParams.solve(args.m1, args.m2), config.spec())
+
+
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
-    if args.kind == "stationary":
-        state, _ = stationary_state(config.mass, spec)
-    else:
-        params = SesquiParams.solve(args.m1, args.m2)
-        state = sesquisoliton(params, spec)
+    state = _named_state(args.kind, config, args)
     peak = float(np.max(np.abs(state.values)))
     tail = float(np.max(np.abs(state.values[:, -1])))
     if tail > 1e-8 * peak:
@@ -290,14 +289,12 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
-    spec = config.spec()
-    if args.initial == "stationary":
-        state, _ = stationary_state(config.mass, spec)
-    else:
-        params = SesquiParams.solve(args.m1, args.m2)
-        state = sesquisoliton(params, spec)
     evo = EvolutionConfig(dt=config.dt, t_final=config.t_final,
                           observe_every=args.observe_every)
+    if evo.steps <= evo.observe_every:  # the trace: t = 0 and one more row
+        raise DomainError(f"{evo.steps} steps at --observe-every {evo.observe_every} "
+                          "give 2 trace rows; the frequency fit needs 3")
+    state = _named_state(args.initial, config, args)
     try:
         final, trace = evolve(state, evo)
     except StepFailureError as exc:

@@ -31,9 +31,16 @@ from .errors import (
     StepFailureError,
 )
 from .graph_core import GraphSpec, GraphState, edge_masses, edge_weights
-from .operators import (_FAR_END_COUPLING, _laplacian_values, _symmetrized, energy,
-                        weighted_inner)
+from .operators import (_laplacian_bands, _laplacian_values, _symmetrized,
+                        _vertex_coupling, energy, weighted_inner)
 from .profiles import half_soliton
+
+# Tolerances and budgets of the midpoint fixed point and of Newton, whose
+# residual floor from the h^-2 quotients is about 1e-10 at N = 4096.
+_FIXED_POINT_TOL = 1e-12
+_MAX_FIXED_POINT_ITERS = 50
+_NEWTON_TOL = 1e-9
+_NEWTON_MAX_ITERS = 30
 
 
 @dataclass(frozen=True)
@@ -48,8 +55,6 @@ class EvolutionConfig:
 
     dt: float
     t_final: float
-    fixed_point_tol: float = 1e-12
-    max_fixed_point_iters: int = 50
     observe_every: int = 1
 
     def __post_init__(self):
@@ -63,10 +68,6 @@ class EvolutionConfig:
             raise DomainError("t_final/|dt| overflows: not a finite step count")
         if abs(self.steps * abs(self.dt) - self.t_final) > 1e-9 * self.t_final:
             raise DomainError("t_final must be an integer number of dt steps")
-        if not self.fixed_point_tol > 0:
-            raise DomainError("fixed_point_tol must be positive")
-        if self.max_fixed_point_iters < 1:
-            raise DomainError("max_fixed_point_iters must be >= 1")
         if self.observe_every < 1:
             raise DomainError("observe_every must be >= 1")
 
@@ -185,23 +186,16 @@ class _ArrowheadSolver:
     """
 
     def __init__(self, spec: GraphSpec, dt: float):
-        h2 = spec.spacing ** 2
-        n = spec.points_per_edge - 1
-        diag = 2j / dt - 2.0 / h2
-        off = 1.0 / h2
-        ab = np.zeros((3, n), dtype=np.complex128)
-        ab[0, 1:] = off
-        ab[1, :] = diag
-        ab[2, :-1] = off
-        ab[2, -2] = _FAR_END_COUPLING / h2
-        self._ab = ab
+        bands = _laplacian_bands(spec)
+        self._ab = ab = bands[:, 1:].astype(np.complex128)
+        ab[1] += 2j / dt
         # Coupling column: the vertex enters each chain's first row with
-        # coefficient 1/h^2; z = T^{-1} e_1 / h^2.
-        e1 = np.zeros(n, dtype=np.complex128)
-        e1[0] = off
+        # coefficient bands[2, 0] = 1/h^2; z = T^{-1} e_1 / h^2.
+        e1 = np.zeros(ab.shape[1], dtype=np.complex128)
+        e1[0] = bands[2, 0]
         self._z = solve_banded((1, 1), ab, e1)
-        self._vertex_coupling = 2.0 / (spec.edge_count * h2)
-        self._denom = diag - (2.0 / h2) * self._z[0]
+        self._vertex_coupling = _vertex_coupling(spec)
+        self._denom = (2j / dt + bands[1, 0]) - bands[0, 1] * self._z[0]
         self.solves = 0
 
     def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
@@ -222,8 +216,6 @@ def step_crank_nicolson(
     dt: float,
     *,
     previous: GraphState | None = None,
-    fixed_point_tol: float = 1e-12,
-    max_fixed_point_iters: int = 50,
     solver: _ArrowheadSolver | None = None,
 ) -> GraphState:
     """One implicit midpoint step of the focusing cubic flow.
@@ -235,7 +227,7 @@ def step_crank_nicolson(
     earlier as previous, it starts from the extrapolated midpoint
     1.5 Psi - 0.5 previous instead, which is O(dt^2) closer to W and
     saves about one iteration per step.  The start changes the result
-    only at the fixed-point tolerance.
+    only at the fixed-point tolerance, _FIXED_POINT_TOL.
 
     Raises StepFailureError when the fixed point does not converge or
     an iterate overflows (the contraction factor scales with
@@ -261,7 +253,7 @@ def step_crank_nicolson(
     diff = math.nan
     # an overflowing iterate ends the step below, so numpy stays silent
     with np.errstate(over="ignore", invalid="ignore"):
-        for _ in range(max_fixed_point_iters):
+        for _ in range(_MAX_FIXED_POINT_ITERS):
             rhs = b - (np.abs(W) ** 2) * W
             if not np.all(np.isfinite(rhs.view(np.float64))):
                 break
@@ -271,12 +263,12 @@ def step_crank_nicolson(
             if not (math.isfinite(diff) and math.isfinite(norm)):
                 break
             W, W_next = W_next, W
-            if diff <= fixed_point_tol * max(1.0, norm):
+            if diff <= _FIXED_POINT_TOL * max(1.0, norm):
                 return GraphState(spec, 2.0 * W - vals)
         else:
             raise StepFailureError(
-                f"midpoint fixed point did not reach tol {fixed_point_tol:.1e} in "
-                f"{max_fixed_point_iters} iterations (last update {diff:.3e}); "
+                f"midpoint fixed point did not reach tol {_FIXED_POINT_TOL:.1e} in "
+                f"{_MAX_FIXED_POINT_ITERS} iterations (last update {diff:.3e}); "
                 "try a smaller dt",
                 0,
             )
@@ -305,14 +297,8 @@ def evolve(state: GraphState, config: EvolutionConfig):
     recorded_solves = 0
     for k in range(1, n_steps + 1):
         try:
-            stepped = step_crank_nicolson(
-                current,
-                config.dt,
-                previous=previous,
-                fixed_point_tol=config.fixed_point_tol,
-                max_fixed_point_iters=config.max_fixed_point_iters,
-                solver=solver,
-            )
+            stepped = step_crank_nicolson(current, config.dt, previous=previous,
+                                          solver=solver)
         except StepFailureError as exc:
             raise StepFailureError(f"step {k}: {exc}", k) from None
         previous, current = current, stepped
@@ -341,12 +327,7 @@ def measure_omega(trace: FlowTrace) -> float:
     return abs(phase_slope(trace))
 
 
-def discrete_stationary_state(
-    M: float,
-    spec: GraphSpec,
-    tol: float = 1e-9,
-    max_iters: int = 30,
-):
+def discrete_stationary_state(M: float, spec: GraphSpec):
     """Newton-refined symmetric stationary profile on this exact grid.
 
     The analytic half-soliton samples satisfy the discrete stationarity
@@ -356,16 +337,14 @@ def discrete_stationary_state(
     E * sum(w u^2) = M, by a bordered-tridiagonal Newton iteration on
     (u, omega): a critical point of energy() at fixed mass on this grid.
 
-    Returns (state, omega).  The residual floor is set by rounding in
-    the h^-2 difference quotients (about 1e-10 at N = 4096), hence the
-    default tol of 1e-9.
+    Returns (state, omega).
     """
     if not M > 0:
         raise DomainError(f"total mass must be positive, got {M}")
-    h2 = spec.spacing ** 2
     N = spec.points_per_edge
     E = spec.edge_count
     w = edge_weights(spec)
+    bands = _laplacian_bands(spec)
 
     # Symmetric stationary profile on E edges has edge mass M/E and
     # omega = (M/E)^2 / 4; the half-soliton of that mass is the guess.
@@ -373,21 +352,16 @@ def discrete_stationary_state(
     u = half_soliton(m_edge, spec)
     omega = (m_edge ** 2) / 4.0
 
-    for _ in range(max_iters):
+    for _ in range(_NEWTON_MAX_ITERS):
         lap = _laplacian_values(np.broadcast_to(u, (E, N)), spec)[0]
         G = -lap - u ** 3 + omega * u
         G_mass = E * float((w * u ** 2).sum()) - M
-        if max(float(np.max(np.abs(G))), abs(G_mass)) < tol:
+        if max(float(np.max(np.abs(G))), abs(G_mass)) < _NEWTON_TOL:
             break
-        diag = 2.0 / h2 - 3.0 * u ** 2 + omega
-        ab = np.zeros((3, N))
-        ab[1, :] = diag
-        ab[0, 1] = -2.0 / h2
-        ab[0, 2:] = -1.0 / h2
-        ab[2, :-1] = -1.0 / h2
-        ab[2, -2] = -_FAR_END_COUPLING / h2
+        jac = -bands
+        jac[1] = jac[1] - 3.0 * u ** 2 + omega
         rhs = np.column_stack([-G, -u])
-        sol = solve_banded((1, 1), ab, rhs)
+        sol = solve_banded((1, 1), jac, rhs)
         y, z = sol[:, 0], sol[:, 1]
         wu = 2.0 * E * (w * u)
         denom = float(wu @ z)
@@ -398,8 +372,8 @@ def discrete_stationary_state(
         omega = omega + domega
     else:
         raise GraphNLSError(
-            f"stationary-state refinement did not converge to {tol:.1e} "
-            f"in {max_iters} iterations"
+            f"stationary-state refinement did not converge to {_NEWTON_TOL:.1e} "
+            f"in {_NEWTON_MAX_ITERS} iterations"
         )
     values = np.broadcast_to(u.astype(np.complex128), (E, N)).copy()
     return GraphState(spec, values), float(omega)

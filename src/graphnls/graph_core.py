@@ -97,10 +97,6 @@ class GraphState:
         return self._values
 
     @classmethod
-    def zeros(cls, spec: GraphSpec) -> "GraphState":
-        return cls(spec, np.zeros((spec.edge_count, spec.points_per_edge), dtype=np.complex128))
-
-    @classmethod
     def from_edges(cls, spec: GraphSpec, edges) -> "GraphState":
         """Stack per-edge sample arrays (a sequence of E length-N arrays)."""
         rows = [np.asarray(row, dtype=np.complex128) for row in edges]
@@ -149,18 +145,6 @@ def mass(state: GraphState) -> float:
     return float(edge_masses(state).sum())
 
 
-def kinetic_quadratic_form(state: GraphState) -> float:
-    """Sum over edges of sum_j |psi(j+1)-psi(j)|^2 / h.
-
-    This is the discrete Dirichlet form; its exact gradient in the
-    trapezoid inner product is -2 L, with L the package's one Kirchhoff
-    Laplacian (natural far end, operators._laplacian_values).
-    """
-    h = state.spec.spacing
-    d = np.diff(state.values, axis=1)
-    return float((np.abs(d) ** 2).sum() / h)
-
-
 def rescale_mass(state: GraphState, target_mass: float) -> GraphState:
     """Scale the state so its total mass equals target_mass exactly."""
     if not target_mass > 0:
@@ -171,16 +155,6 @@ def rescale_mass(state: GraphState, target_mass: float) -> GraphState:
     if m == math.inf:
         raise DomainError("the state's mass overflows, so it cannot be rescaled")
     return GraphState(state.spec, state.values * np.sqrt(target_mass / m))
-
-
-@dataclass(frozen=True)
-class EnergyReport:
-    """Kinetic and quartic parts of the energy, plus the mass, of one state."""
-
-    kinetic: float
-    quartic: float
-    total: float
-    mass: float
 
 
 # ---------------------------------------------------------------------------

@@ -46,6 +46,7 @@ from .graph_core import (
 from .operators import best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
+    _require_finite_energy,
     _scaled_sech,
     _sesqui_energy_poly,
     energy_infimum,
@@ -55,6 +56,12 @@ from .profiles import (
     stationary_state,
 )
 from .dynamics import TraceRecorder
+
+# Finite-difference steps, and the spline nodes per edge of a random state.
+_SESQUI_TANGENT_DELTA = 0.1
+_DILATION_TANGENT_DELTA = 1e-3
+_CURVATURE_DELTA = 1e-3
+_CONTROL_POINTS = 9
 
 
 @dataclass(frozen=True)
@@ -197,19 +204,14 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
 def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
     """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation.
 
-    lam is rejected when the kinetic energy lam^2 M^3/216 or the peak
-    |psi|^4 = (lam m^2/2)^2 times the graph's length overflows.
+    lam is rejected when the state's energy would overflow.
     """
     if not (math.isfinite(lam) and lam > 0):
         raise DomainError(f"dilation parameter must be positive and finite, got {lam}")
     if spec.edge_count != 3:
         raise DomainError("the dilation family lives on the 3-edge star")
-    # Python floats: the bound below overflows to inf without a warning
+    _require_finite_energy(M, lam, spec)
     lam, m = float(lam), float(M) / 3.0
-    peak2 = lam * m * m / 2.0
-    if not math.isfinite(lam * lam * (m * m * m / 8.0)
-                         + peak2 * peak2 * 3.0 * spec.truncation_length):
-        raise DomainError(f"dilation parameter {lam:g} is too large: the energy overflows")
     x = spec.coordinates()
     edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam * x)
     return GraphState.from_edges(spec, [edge] * 3)
@@ -338,17 +340,17 @@ def hessian_probe(
     )
 
 
-def sesqui_tangent(M: float, spec: GraphSpec, delta: float = 0.1) -> GraphState:
+def sesqui_tangent(M: float, spec: GraphSpec) -> GraphState:
     """Chord of the sesquisoliton curve ending at the stationary state.
 
     Finite difference (in m1) of mass-projected sesquisolitons at
-    m1 = M/3 and M/3 - delta.  The curve meets the stationary state
-    with a square-root cusp in m1, so this chord is dominated by the
-    family's offset direction and its norm grows like 1/sqrt(delta);
-    probes along it need only a sign, not a normalization.
+    m1 = M/3 and M/3 - delta, delta = 0.1.  The curve meets the
+    stationary state with a square-root cusp in m1, so this chord is
+    dominated by the family's offset direction and its norm grows like
+    1/sqrt(delta); probes along it need only a sign, not a
+    normalization.
     """
-    if not 0 < delta < M / 3.0:
-        raise DomainError(f"delta must lie in (0, M/3), got {delta}")
+    delta = _SESQUI_TANGENT_DELTA
     top = rescale_mass(
         sesquisoliton(SesquiParams.solve(M / 3.0, 2.0 * M / 3.0), spec), M
     )
@@ -358,10 +360,10 @@ def sesqui_tangent(M: float, spec: GraphSpec, delta: float = 0.1) -> GraphState:
     return GraphState(spec, (top.values - below.values) / delta)
 
 
-def dilation_tangent(M: float, spec: GraphSpec, delta: float = 1e-3) -> GraphState:
-    """Central-difference tangent of the dilation family at lambda = 1."""
-    if not 0 < delta < 1:
-        raise DomainError(f"delta must lie in (0, 1), got {delta}")
+def dilation_tangent(M: float, spec: GraphSpec) -> GraphState:
+    """Central-difference tangent of the dilation family at lambda = 1,
+    with step delta = 1e-3."""
+    delta = _DILATION_TANGENT_DELTA
     plus = rescale_mass(dilation_family(M, 1.0 + delta, spec), M)
     minus = rescale_mass(dilation_family(M, 1.0 - delta, spec), M)
     return GraphState(spec, (plus.values - minus.values) / (2.0 * delta))
@@ -372,20 +374,19 @@ def phase_direction(state: GraphState) -> GraphState:
     return GraphState(state.spec, 1j * state.values)
 
 
-def sesqui_curve_second_derivative(M: float, m1: float, delta: float = 1e-3) -> float:
+def sesqui_curve_second_derivative(M: float, m1: float) -> float:
     """d^2/dm1^2 of the closed-form curve energy by central differences.
 
     The closed form is a cubic polynomial in m1, so the central second
-    difference is exact up to rounding for any delta; evaluation slightly
-    past M/3 uses the polynomial itself, not a trial state.  At
-    m1 = M/3 the value is -M/8.
+    difference (step delta = 1e-3) is exact up to rounding; evaluation
+    slightly past M/3 uses the polynomial itself, not a trial state.
+    At m1 = M/3 the value is -M/8.
     """
     if not M > 0:
         raise DomainError(f"total mass must be positive, got {M}")
     if not 0 < m1 <= (M / 3.0) * (1.0 + 1e-12):
         raise DomainError(f"m1={m1} outside (0, M/3] with M={M}")
-    if not delta > 0:
-        raise DomainError("delta must be positive")
+    delta = _CURVATURE_DELTA
     return (
         _sesqui_energy_poly(m1 + delta, M)
         + _sesqui_energy_poly(m1 - delta, M)
@@ -550,24 +551,20 @@ def random_vertex_continuous_state(
     spec: GraphSpec,
     rng: np.random.Generator,
     target_mass: float | None = None,
-    control_points: int = 9,
 ) -> GraphState:
     """Smooth random state: per-edge cubic splines sharing the vertex value.
 
-    Control values are complex Gaussians at equispaced nodes; the
+    Control values are complex Gaussians at 9 equispaced nodes; the
     vertex control is shared across edges (exact continuity) and the
     last two controls are zero so the state dies off well before the
     truncation boundary.  Optionally rescaled to a target mass.
     """
-    if control_points < 4:
-        raise DomainError("need at least 4 control points")
-    L = spec.truncation_length
-    nodes = np.linspace(0.0, L, control_points)
+    nodes = np.linspace(0.0, spec.truncation_length, _CONTROL_POINTS)
     x = spec.coordinates()
     vertex_value = complex(rng.standard_normal() + 1j * rng.standard_normal())
     rows = []
     for _ in range(spec.edge_count):
-        ctrl = rng.standard_normal(control_points) + 1j * rng.standard_normal(control_points)
+        ctrl = rng.standard_normal(_CONTROL_POINTS) + 1j * rng.standard_normal(_CONTROL_POINTS)
         ctrl[0] = vertex_value
         ctrl[-2:] = 0.0
         vals = CubicSpline(nodes, ctrl)(x)

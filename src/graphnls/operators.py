@@ -10,22 +10,20 @@ gradient of that discrete functional with respect to the trapezoid
 inner product, which is what makes finite-difference directional
 derivatives match to machine precision and makes descent methods
 honest.
+
+The Kirchhoff Laplacian L (natural far end) is written here once: a
+stencil for any state and a banded matrix on vertex-symmetric states,
+which the Crank-Nicolson solver and the Newton refinement factor.
 """
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+
 import numpy as np
 
 from .errors import DegenerateStateError, DomainError
-from .graph_core import (
-    EnergyReport,
-    GraphSpec,
-    GraphState,
-    edge_weights,
-    kinetic_quadratic_form,
-    mass,
-    require_continuity,
-)
+from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_continuity
 
 
 def weighted_inner(a: GraphState, b: GraphState) -> complex:
@@ -48,7 +46,7 @@ def _symmetrized(values: np.ndarray) -> np.ndarray:
 
 # Natural far end: the ghost point beyond x = L mirrors psi[-2], so the
 # last row couples to its neighbour with this weight over h^2.  The
-# stencil, the CN solver's bands and the Newton Jacobian all read it.
+# stencil and the bands below both read it.
 _FAR_END_COUPLING = 2.0
 
 
@@ -66,6 +64,28 @@ def _laplacian_values(values: np.ndarray, spec: GraphSpec) -> np.ndarray:
     return out
 
 
+def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
+    """L on vertex-symmetric states, shape (3, N), in solve_banded layout.
+
+    Such a state is one edge profile u, u[0] the vertex, whose vertex
+    row reads 2 (u[1] - u[0]) / h^2.  The CN solver's per-edge chain is
+    bands[:, 1:]; the Newton Jacobian is -bands plus a diagonal.
+    """
+    h2 = spec.spacing ** 2
+    bands = np.zeros((3, spec.points_per_edge))
+    bands[0, 1] = 2.0 / h2
+    bands[0, 2:] = 1.0 / h2
+    bands[1, :] = -2.0 / h2
+    bands[2, :-1] = 1.0 / h2
+    bands[2, -2] = _FAR_END_COUPLING / h2
+    return bands
+
+
+def _vertex_coupling(spec: GraphSpec) -> float:
+    """2/(E h^2), the vertex row's weight per edge (bands[0, 1] / E rounds otherwise)."""
+    return 2.0 / (spec.edge_count * spec.spacing ** 2)
+
+
 def apply_laplacian(state: GraphState) -> GraphState:
     """Kirchhoff Laplacian with the natural far end, as in energy_gradient.
 
@@ -75,6 +95,27 @@ def apply_laplacian(state: GraphState) -> GraphState:
     require_continuity(state)
     vals = _symmetrized(state.values)
     return GraphState(state.spec, _laplacian_values(vals, state.spec))
+
+
+@dataclass(frozen=True)
+class EnergyReport:
+    """Kinetic and quartic parts of the energy, plus the mass, of one state."""
+
+    kinetic: float
+    quartic: float
+    total: float
+    mass: float
+
+
+def kinetic_quadratic_form(state: GraphState) -> float:
+    """Sum over edges of sum_j |psi(j+1)-psi(j)|^2 / h.
+
+    This is the discrete Dirichlet form; its exact gradient in the
+    trapezoid inner product is -2 L, with L the stencil above.
+    """
+    h = state.spec.spacing
+    d = np.diff(state.values, axis=1)
+    return float((np.abs(d) ** 2).sum() / h)
 
 
 def energy(state: GraphState) -> EnergyReport:

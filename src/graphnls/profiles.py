@@ -135,6 +135,19 @@ def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
     return GraphState.from_edges(spec, [e0, e1, e2])
 
 
+def _require_finite_energy(M: float, lam: float, spec: GraphSpec) -> None:
+    """DomainError when sqrt(lam) phi_{M/3}(lam x) on every edge (at
+    lam = 1 the stationary state) has a kinetic energy lam^2 M^3/216 or
+    a peak |psi|^4 = (lam m^2/2)^2 times the graph's length that overflows."""
+    # Python floats: the bound below overflows to inf without a warning
+    lam, m = float(lam), float(M) / 3.0
+    peak2 = lam * m * m / 2.0
+    if not math.isfinite(lam * lam * (m * m * m / 8.0)
+                         + peak2 * peak2 * 3.0 * spec.truncation_length):
+        raise DomainError(f"mass {M:g} at dilation parameter {lam:g} is too large: "
+                          "the energy overflows")
+
+
 @dataclass(frozen=True)
 class StationaryInfo:
     """Parameters of the symmetric stationary state at total mass M."""
@@ -149,7 +162,7 @@ def stationary_state(M: float, spec: GraphSpec):
 
     Returns (state, info) with info.omega = M^2/36 and
     info.energy = -M^3/216.  It is a saddle of the fixed-mass energy,
-    not a minimum.
+    not a minimum.  A mass whose energy overflows is a DomainError.
     """
     if not M > 0:
         raise DomainError(f"total mass must be positive, got {M}")
@@ -157,6 +170,7 @@ def stationary_state(M: float, spec: GraphSpec):
         raise DomainError(
             f"the stationary state lives on the 3-edge star, got {spec.edge_count} edges"
         )
+    _require_finite_energy(M, 1.0, spec)
     edge = half_soliton(M / 3.0, spec)
     state = GraphState.from_edges(spec, [edge] * 3)
     info = StationaryInfo(total_mass=M, omega=M * M / 36.0, energy=-(M ** 3) / 216.0)

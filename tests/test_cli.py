@@ -200,11 +200,24 @@ class TestEvolve:
     def test_diverging_step_fails_without_a_traceback(self, run, tmp_path):
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = run(["evolve", "--mass", "1e3", "--points", "64", "--t-final", "0.01"],
+            r = run(["evolve", "--mass", "1e3", "--points", "64", "--t-final", "0.02"],
                     tmp_path)
         assert r.returncode == 1
         assert r.stderr.startswith("evolution failed: step 1: ")
         assert r.stderr.rstrip().endswith("try a smaller dt")
+
+    def test_short_trace_is_rejected_before_the_run(self, run, tmp_path, monkeypatch):
+        # 10 steps at --observe-every 10: rows at t = 0 and t = 0.01 only
+        monkeypatch.setattr(cli, "evolve", lambda *a: pytest.fail("evolve ran"))
+        r = run(["evolve", "--points", "64", "--t-final", "0.01"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert "--observe-every" in r.stderr
+        assert not any(tmp_path.iterdir())
+        monkeypatch.undo()
+        r = run(["evolve", "--points", "64", "--t-final", "0.02"], tmp_path)
+        assert r.returncode == 0
+        assert len(read_table(tmp_path / "evolve_trace.csv")["t"]) == 3
 
     def test_bad_step_split_exit_2(self, run, tmp_path):
         r = run(["evolve", "--dt", "0.3", "--t-final", "1.0"] + FAST,
@@ -243,6 +256,9 @@ class TestBadInput:
         ["scan", "dilation", "--lambda", "1,1e300"],
         ["flow", "--perturbation", "dilation:1e300"],
         ["verify", "--seed", "-1"],
+        ["profile", "stationary", "--mass", "1e200"],
+        ["scan", "sesqui", "--mass", "1e200"],
+        ["evolve", "--mass", "1e100"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed

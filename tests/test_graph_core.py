@@ -123,7 +123,7 @@ class TestRescale:
 
     def test_zero_state_rejected(self, coarse_spec):
         with pytest.raises(DegenerateStateError):
-            rescale_mass(GraphState.zeros(coarse_spec), 6.0)
+            rescale_mass(GraphState(coarse_spec, np.zeros((3, 128))), 6.0)
 
     def test_nonpositive_target_rejected(self, coarse_spec):
         with pytest.raises(DomainError):

@@ -1,9 +1,10 @@
 """Every float either gives a usable object or raises DomainError.
 
 Property tests over all of float64, NaN and the infinities included:
-a grid, a time-stepping configuration and a descent-flow call are
-either valid (and then behave) or rejected up front with DomainError,
-never a ValueError, an OverflowError or a failure part-way through.
+a grid, a time-stepping configuration, a descent-flow call and a
+total mass are either valid (and then behave) or rejected up front
+with DomainError, never a ValueError, an OverflowError or a failure
+part-way through.
 """
 
 import math
@@ -19,10 +20,13 @@ from graphnls import (
     EvolutionConfig,
     GraphSpec,
     StallError,
+    energy,
     gradient_flow_fixed_mass,
     mass,
     shift_perturbation,
+    stationary_state,
 )
+from graphnls.cli import RunConfig
 
 M = 6.0
 FLOW_START = shift_perturbation(M, GraphSpec(3, 20.0, 32), 0.01)
@@ -88,3 +92,24 @@ def test_flow_step_and_tolerance(step, grad_tol):
     assert trace.metadata["stop_reason"] in ("converged", "max_iters", "stalled")
     assert np.all(np.diff(trace.energies) < 0)
     assert np.allclose(trace.masses, mass(FLOW_START), rtol=1e-12, atol=0.0)
+
+
+@settings(deadline=None)
+@given(st.floats())
+@example(6.0)
+@example(1e100)
+@example(1e200)
+@example(5e-324)
+@example(sys.float_info.max)
+def test_mass_gives_a_finite_energy_or_a_domain_error(mass_value):
+    # what `graphnls profile stationary --mass <mass_value> --points 64` does
+    config = RunConfig(mass=mass_value, points=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config.validate()
+            state, _ = stationary_state(mass_value, config.spec())
+        except DomainError:
+            return
+        total = energy(state).total
+    assert math.isfinite(total)

@@ -117,7 +117,8 @@ class TestProbes:
         with pytest.raises(DomainError):
             hessian_probe(center, center, -1.0, "bad")
         with pytest.raises(DomainError):
-            hessian_probe(center, GraphState.zeros(center.spec), 1e-2, "zero")
+            zero = GraphState(center.spec, np.zeros_like(center.values))
+            hessian_probe(center, zero, 1e-2, "zero")
 
     def test_report_row_is_reproducible(self, center):
         d = dilation_tangent(M, center.spec)

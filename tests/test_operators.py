@@ -24,6 +24,8 @@ from graphnls import (
     weighted_inner,
     weighted_norm,
 )
+from graphnls.dynamics import _ArrowheadSolver
+from graphnls.operators import _laplacian_bands, _laplacian_values
 
 M = 6.0
 
@@ -82,6 +84,27 @@ class TestLaplacian:
             a = state_alive_at_far_end(coarse_spec, rng)
             q = weighted_inner(apply_laplacian(a), a).real
             assert q <= 1e-12
+
+
+class TestOneMatrix:
+    # on L = 5 with random values at x = L the far-end row counts
+    def test_bands_are_the_stencil_on_symmetric_states(self, rng):
+        spec = GraphSpec(3, 5.0, 257)
+        u = rng.standard_normal(spec.points_per_edge)
+        bands = _laplacian_bands(spec)
+        matrix = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+                  + np.diag(bands[2, :-1], -1))
+        stencil = _laplacian_values(np.broadcast_to(u, (3, u.size)), spec)
+        assert np.max(np.abs(stencil - matrix @ u)) <= 1e-12 * np.max(np.abs(stencil))
+
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_arrowhead_solve_inverts_the_shifted_laplacian(self, rng, dt):
+        spec = GraphSpec(3, 5.0, 257)
+        rhs = state_alive_at_far_end(spec, rng).values
+        W = np.empty_like(rhs)
+        _ArrowheadSolver(spec, dt).solve(rhs[0, 0], rhs[:, 1:], W)
+        residual = (2j / dt) * W + _laplacian_values(W, spec) - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
 class TestEnergy:
