@@ -142,8 +142,9 @@ class TraceRecorder:
     observe() measures a state: its mass and edge masses from one
     edge_masses pass, and its phase against the reference state.  The
     caller passes the energy, which it has usually computed already,
-    and any extra columns by name.  Samples are kept column by column
-    and every column becomes a float64 array.
+    the edge masses em if it holds them, and any extra columns by name.
+    Samples are kept column by column and every column becomes a
+    float64 array.
     """
 
     def __init__(self, reference: GraphState):
@@ -154,8 +155,10 @@ class TraceRecorder:
     def __len__(self) -> int:
         return len(self.edge_masses)
 
-    def observe(self, t: float, state: GraphState, energy_total: float, **extras):
-        em = edge_masses(state)
+    def observe(self, t: float, state: GraphState, energy_total: float,
+                em: np.ndarray | None = None, **extras):
+        if em is None:
+            em = edge_masses(state)
         row = {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
                "phase": float(np.angle(weighted_inner(self.reference, state))), **extras}
         for name, value in row.items():

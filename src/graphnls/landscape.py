@@ -14,9 +14,9 @@ straight chord of the family measures a nonnegative quadratic form.
 Under the fixed-mass gradient flow a start that treats all three edges
 alike returns to the stationary state.  Keeping only edges 1 and 2
 equal does not decide the outcome: deposit_perturbation (mass moved off
-edge 0) returns, while its mirror (mass gathered onto edge 0) escapes
-along edge 0.  shift_perturbation escapes along the sesquisoliton
-family.
+edge 0) returns, while its mirror gather_perturbation (mass gathered
+onto edge 0) escapes along edge 0.  shift_perturbation escapes along
+the sesquisoliton family.
 """
 
 from __future__ import annotations
@@ -43,7 +43,7 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import best_omega, energy, energy_gradient
+from .operators import _Resolvent, best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
     _require_finite_energy,
@@ -394,32 +394,59 @@ def sesqui_curve_second_derivative(M: float, m1: float) -> float:
     ) / delta ** 2
 
 
+def _sobolev_direction(state: GraphState, r: np.ndarray, state_mass: float,
+                       resolvent: _Resolvent) -> np.ndarray:
+    """-(I - L)^{-1} r, projected onto the tangent space of the mass
+    sphere at state: d -= Re<state, d> / state_mass * state."""
+    d = -resolvent.solve(r)
+    w = edge_weights(state.spec)
+    psi = state.values
+    d -= (float((w * (psi.real * d.real + psi.imag * d.imag)).sum()) / state_mass) * psi
+    return d
+
+
 def gradient_flow_fixed_mass(
     state0: GraphState,
     step: float = 0.1,
     max_iters: int = 500,
     grad_tol: float = 1e-3,
 ):
-    """Projected gradient descent on the mass sphere.
+    """Sobolev-preconditioned projected descent on the mass sphere.
 
-    Iterates Psi <- rescale_mass(Psi - s * energy_gradient(Psi), M)
-    with backtracking: a trial step that raises the energy, or whose
-    unprojected state overflows, halves s and is retried (never
-    recorded); accepted steps grow s by 1.2 back toward the initial
-    step.  Terminates when the projected-gradient norm
-    ||grad E + best_omega * Psi|| drops to grad_tol, or after max_iters
-    accepted steps.  Step underflow below 1e-12 raises StallError
-    carrying the partial trace.  step must be finite and positive,
-    grad_tol finite and nonnegative; anything else is a DomainError.
+    With r = grad E + best_omega * Psi, the projected gradient, each
+    step moves along d = -(I - L)^{-1} r projected onto the sphere's
+    tangent space (d -= Re<Psi, d>/M Psi), then rescales to the start's
+    mass M0: Psi <- rescale_mass(Psi + s d, M0).  (I - L), with L the
+    Kirchhoff Laplacian of energy_gradient, is factored once per flow;
+    it is the H^1 Riesz map of Danaila & Kazemi's Sobolev gradient, so
+    the usable step does not shrink with h^2 and the iteration count of
+    a run does not grow with the grid.  Backtracking: a trial step that
+    does not lower the energy, or whose unprojected state overflows,
+    halves s and is retried (never recorded); accepted steps grow s by
+    1.2 back toward the initial step.  Step underflow below 1e-12
+    raises StallError carrying the partial trace.  step must be finite
+    and positive, grad_tol finite and nonnegative; anything else is a
+    DomainError.
 
-    Each accepted state costs one energy_gradient, shared with
-    best_omega, and one edge_masses pass, which also gives the recorded
-    mass.
+    The flow stops when ||r|| drops to grad_tol ("converged"), when
+    the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), or after
+    max_iters accepted steps ("max_iters").  The infimum -M0^3/96 is
+    not attained, so an escaped run has no critical point to converge
+    to; near_infimum ends it, and ends it while the escaping soliton is
+    still far from x = L: with the natural far end the truncated
+    problem is not bounded below by -M^3/96 (a half-soliton parked at
+    x = L reaches -M^3/24).  On two edges, a line, the soliton attains
+    -M^3/96, and the rule stops the run short of it.
+
+    Each recorded state costs one energy_gradient, shared with
+    best_omega, and one edge_masses pass, which gives M0 or best_omega's
+    mass and the recorded masses; each step costs one resolvent solve,
+    and each trial step one rescale_mass and one energy.
 
     Returns (final state, FlowTrace); trace extras record the projected
     gradient norm and the position (edge, coordinate) of the modulus
     maximum, a proxy for where the escaping soliton sits.  Trace
-    metadata records why the flow stopped (stop_reason: "converged",
+    metadata records stop_reason ("converged", "near_infimum",
     "max_iters" or "stalled"), the accepted and rejected trial steps,
     and final_step, the step size the next trial would have used.
     """
@@ -429,13 +456,18 @@ def gradient_flow_fixed_mass(
         raise DomainError(f"grad_tol must be nonnegative and finite, got {grad_tol}")
     if max_iters < 0:
         raise DomainError("max_iters must be nonnegative")
-    M0 = mass(state0)
+    em0 = edge_masses(state0)
+    M0 = float(em0.sum())
     if not M0 > 0:
         raise DomainError("gradient flow needs a state with positive mass")
+    # products, not M0 ** 3: a huge M0 then gives -inf instead of an
+    # OverflowError, and no finite energy stops the run
+    near_infimum = -(0.99 / 96.0) * M0 * M0 * M0
     spec = state0.spec
     w = edge_weights(spec)
     h = spec.spacing
     N = spec.points_per_edge
+    resolvent = _Resolvent(spec)
 
     recorder = TraceRecorder(state0)
     rejected = 0
@@ -445,33 +477,32 @@ def gradient_flow_fixed_mass(
                               accepted_steps=len(recorder) - 1,
                               rejected_steps=rejected, final_step=final_step)
 
-    def record(it, st, e_total, pg_norm):
+    def record(it, st, e_total, em):
+        """Trace row of an accepted state with edge masses em; returns
+        the projected gradient r, the mass and ||r||."""
+        g = energy_gradient(st)
+        m = float(em.sum())
+        r = g.values + best_omega(st, g, m) * st.values
+        pg = float(np.sqrt((w * np.abs(r) ** 2).sum()))
         flat = int(np.argmax(np.abs(st.values)))
-        recorder.observe(it, st, e_total, grad_norm=pg_norm,
+        recorder.observe(it, st, e_total, em, grad_norm=pg,
                          peak_edge=flat // N, peak_coordinate=(flat % N) * h)
-
-    def projected_gradient_norm(st, g):
-        omega_hat = best_omega(st, g)
-        r = g.values + omega_hat * st.values
-        return float(np.sqrt((w * np.abs(r) ** 2).sum()))
+        return r, m, pg
 
     # a trial that overflows is rejected below, so numpy stays silent;
     # one errstate for the whole flow costs nothing per trial
     with np.errstate(over="ignore", invalid="ignore"):
         current = state0
         e_current = energy(current).total
-        g = energy_gradient(current)
-        pg = projected_gradient_norm(current, g)
-        record(0, current, e_current, pg)
+        r, m, pg = record(0, current, e_current, em0)
         s = step
         for it in range(1, max_iters + 1):
-            if pg <= grad_tol:
+            if pg <= grad_tol or e_current <= near_infimum:
                 break
+            d = _sobolev_direction(current, r, m, resolvent)
             while True:
                 try:
-                    trial = rescale_mass(
-                        GraphState(spec, current.values - s * g.values), M0
-                    )
+                    trial = rescale_mass(GraphState(spec, current.values + s * d), M0)
                 except DomainError:  # the unprojected trial overflowed
                     e_trial = math.inf
                 else:
@@ -487,10 +518,13 @@ def gradient_flow_fixed_mass(
                     )
             current, e_current = trial, e_trial
             s = min(s * 1.2, step)
-            g = energy_gradient(current)
-            pg = projected_gradient_norm(current, g)
-            record(it, current, e_current, pg)
-    reason = "converged" if pg <= grad_tol else "max_iters"
+            r, m, pg = record(it, current, e_current, edge_masses(current))
+    if pg <= grad_tol:
+        reason = "converged"
+    elif e_current <= near_infimum:
+        reason = "near_infimum"
+    else:
+        reason = "max_iters"
     return current, build_trace(reason, s)
 
 
@@ -507,8 +541,7 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gra
     """
     if spec.edge_count != 3:
         raise DomainError("shift perturbation is defined on the 3-edge star")
-    if not 0.0 < fraction < 1.0 / 3.0:
-        raise DomainError("fraction must lie in (0, 1/3)")
+    _require_fraction(fraction)
     m = M / spec.edge_count
     # a shift eta moves m*tanh(m*eta/2) of mass onto the receiving edge
     eta = (2.0 / m) * math.atanh(fraction * M / m)
@@ -531,13 +564,28 @@ def deposit_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> G
     `fraction` of the total mass leaves edge 0, split evenly.  The
     gradient flow carries this start back to the stationary energy
     instead of escaping.  The equal receiving edges do not cause that:
-    the mirror start, with mass gathered onto edge 0, keeps the same
-    symmetry and escapes along edge 0.
+    the mirror start, gather_perturbation, keeps the same symmetry and
+    escapes along edge 0.
     """
-    if not 0.0 < fraction < 1.0 / 3.0:
-        raise DomainError("fraction must lie in (0, 1/3)")
+    _require_fraction(fraction)
+    return _edge0_transfer(M, spec, fraction * M)
+
+
+def gather_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:
+    """The mirror of deposit_perturbation: `fraction` of the total mass
+    gathered onto edge 0, taken evenly off the other edges.
+
+    Edges 1 and 2 stay equal, as in the deposit start, yet the gradient
+    flow escapes from this start along edge 0.
+    """
+    _require_fraction(fraction)
+    return _edge0_transfer(M, spec, -fraction * M)
+
+
+def _edge0_transfer(M: float, spec: GraphSpec, moved: float) -> GraphState:
+    """Stationary state with mass `moved` taken off edge 0 (put onto it
+    when negative), split evenly over the other edges."""
     state, _ = stationary_state(M, spec)
-    moved = fraction * M
     edge0 = M / spec.edge_count
     rest = spec.edge_count - 1
     vals = state.values.copy()
@@ -545,6 +593,11 @@ def deposit_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> G
     vals[1:] *= math.sqrt(1.0 + moved / (rest * edge0))
     vals[:, 0] = vals[:, 0].mean()
     return rescale_mass(GraphState(spec, vals), M)
+
+
+def _require_fraction(fraction: float) -> None:
+    if not 0.0 < fraction < 1.0 / 3.0:
+        raise DomainError("fraction must lie in (0, 1/3)")
 
 
 def random_vertex_continuous_state(

