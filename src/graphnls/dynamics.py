@@ -4,7 +4,8 @@ The propagator is the implicit midpoint rule (Crank-Nicolson with the
 nonlinearity evaluated at the midpoint), solved per step by fixed-point
 iteration on the nonlinear term around a direct linear solve.  The
 linear system couples E tridiagonal edge blocks through the single
-shared vertex unknown; arrowhead elimination keeps each solve O(E*N).
+shared vertex unknown; the arrowhead elimination of operators, shared
+with the descent flow, keeps each solve O(E*N).
 evolve starts each step's iteration from the midpoint extrapolated from
 the two latest states, 1.5 Psi_n - 0.5 Psi_{n-1}, which saves about one
 solve per step over starting from Psi_n; the first step starts from
@@ -31,8 +32,8 @@ from .errors import (
     StepFailureError,
 )
 from .graph_core import GraphSpec, GraphState, edge_masses, edge_weights
-from .operators import (_laplacian_bands, _laplacian_values, _symmetrized,
-                        _vertex_coupling, energy, weighted_inner)
+from .operators import (_Arrowhead, _laplacian_bands, _laplacian_values, _symmetrized,
+                        energy, weighted_inner)
 from .profiles import half_soliton
 
 # Tolerances and budgets of the midpoint fixed point and of Newton, whose
@@ -178,40 +179,10 @@ class TraceRecorder:
         )
 
 
-class _ArrowheadSolver:
-    """Direct solver for ((2i/dt) I + L) W = rhs, L as in _laplacian_values.
-
-    Eliminating the E per-edge chains (each tridiagonal, sharing one
-    matrix) against the single vertex unknown is a rank-one Schur
-    complement: one banded solve per right-hand side plus a scalar
-    division.  The same tridiagonal factors serve every edge because
-    the grid is uniform and shared.  solves counts the calls to solve().
-    """
-
-    def __init__(self, spec: GraphSpec, dt: float):
-        bands = _laplacian_bands(spec)
-        self._ab = ab = bands[:, 1:].astype(np.complex128)
-        ab[1] += 2j / dt
-        # Coupling column: the vertex enters each chain's first row with
-        # coefficient bands[2, 0] = 1/h^2; z = T^{-1} e_1 / h^2.
-        e1 = np.zeros(ab.shape[1], dtype=np.complex128)
-        e1[0] = bands[2, 0]
-        self._z = solve_banded((1, 1), ab, e1)
-        self._vertex_coupling = _vertex_coupling(spec)
-        self._denom = (2j / dt + bands[1, 0]) - bands[0, 1] * self._z[0]
-        self.solves = 0
-
-    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
-        """Write the solution into out, shape (E, N): the vertex value
-        in column 0 and the per-edge chains of length N-1 after it.
-        rhs_edges must be finite; the result is not checked."""
-        self.solves += 1
-        Y = solve_banded((1, 1), self._ab, rhs_edges.T, check_finite=False)
-        v = (rhs_vertex - self._vertex_coupling * Y[0, :].sum()) / self._denom
-        out[:, 0] = v
-        chains = out[:, 1:]
-        np.multiply(self._z, -v, out=chains)
-        chains += Y.T
+def _banded_chain(chain: np.ndarray):
+    """Chain solve for the stepper's _Arrowhead: one call of this
+    module's solve_banded binding, which refactors the complex chain."""
+    return lambda B: solve_banded((1, 1), chain, B, check_finite=False)
 
 
 def step_crank_nicolson(
@@ -219,12 +190,14 @@ def step_crank_nicolson(
     dt: float,
     *,
     previous: GraphState | None = None,
-    solver: _ArrowheadSolver | None = None,
+    solver: _Arrowhead | None = None,
 ) -> GraphState:
     """One implicit midpoint step of the focusing cubic flow.
 
     Solves (2i/dt) W + L W = (2i/dt) Psi - |W|^2 W for the midpoint W
-    by lagging the cubic term, then returns 2W - Psi.  The vertex is a
+    by lagging the cubic term, then returns 2W - Psi; the solver takes
+    it negated, as ((-2i/dt) I - L) W = (-2i/dt) Psi + |W|^2 W, which
+    is exact and pivots on the same rows.  The vertex is a
     single unknown, so input values are first projected to their vertex
     mean.  The iteration starts from Psi; given the state one step
     earlier as previous, it starts from the extrapolated midpoint
@@ -242,9 +215,9 @@ def step_crank_nicolson(
     if previous is not None and previous.spec != spec:
         raise DomainError("previous state is on another grid")
     if solver is None:
-        solver = _ArrowheadSolver(spec, dt)
+        solver = _Arrowhead(spec, -2j / dt, _banded_chain)
     vals = _symmetrized(state.values)
-    b = (2j / dt) * vals
+    b = (-2j / dt) * vals
     w = edge_weights(spec)
     if previous is None:
         W = vals.copy()
@@ -257,7 +230,7 @@ def step_crank_nicolson(
     # an overflowing iterate ends the step below, so numpy stays silent
     with np.errstate(over="ignore", invalid="ignore"):
         for _ in range(_MAX_FIXED_POINT_ITERS):
-            rhs = b - (np.abs(W) ** 2) * W
+            rhs = b + (np.abs(W) ** 2) * W
             if not np.all(np.isfinite(rhs.view(np.float64))):
                 break
             solver.solve(rhs[0, 0], rhs[:, 1:], W_next)
@@ -295,7 +268,7 @@ def evolve(state: GraphState, config: EvolutionConfig):
     current = GraphState(spec, _symmetrized(state.values))
     recorder = TraceRecorder(current)
     recorder.observe(0.0, current, energy(current).total, fixed_point_iters=0)
-    solver = _ArrowheadSolver(spec, config.dt)
+    solver = _Arrowhead(spec, -2j / config.dt, _banded_chain)
     previous = None
     recorded_solves = 0
     for k in range(1, n_steps + 1):

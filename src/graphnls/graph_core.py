@@ -45,11 +45,15 @@ class GraphSpec:
             raise DomainError(
                 f"truncation_length must be positive and finite, got {self.truncation_length}"
             )
-        if self.points_per_edge < 3:
-            raise DomainError(f"need at least 3 points per edge, got {self.points_per_edge}")
-        if not self.spacing > 0:
+        # scipy's dgttrf rejects a tridiagonal chain (N - 1 unknowns) below 3
+        if self.points_per_edge < 4:
+            raise DomainError(f"need at least 4 points per edge, got {self.points_per_edge}")
+        # the Laplacian's entries are 2/h^2 (h * h, as in operators)
+        h2 = self.spacing * self.spacing
+        if not (h2 > 0 and math.isfinite(2.0 / h2)):
             raise DomainError(
-                f"truncation_length {self.truncation_length} gives a grid spacing of zero"
+                f"truncation_length {self.truncation_length} gives a grid spacing too "
+                "small for the Laplacian's 2/h^2"
             )
         # coordinates() computes j*spacing in np.linspace; the last product
         # must not overflow (Python floats give inf here without a warning)

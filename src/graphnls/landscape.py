@@ -43,7 +43,7 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import _Resolvent, best_omega, energy, energy_gradient
+from .operators import _Arrowhead, _lapack_chain, best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
     _require_finite_energy,
@@ -395,10 +395,12 @@ def sesqui_curve_second_derivative(M: float, m1: float) -> float:
 
 
 def _sobolev_direction(state: GraphState, r: np.ndarray, state_mass: float,
-                       resolvent: _Resolvent) -> np.ndarray:
+                       resolvent: _Arrowhead) -> np.ndarray:
     """-(I - L)^{-1} r, projected onto the tangent space of the mass
     sphere at state: d -= Re<state, d> / state_mass * state."""
-    d = -resolvent.solve(r)
+    d = np.empty_like(r)
+    resolvent.solve(r[:, 0].mean(), r[:, 1:], d)
+    np.negative(d, out=d)
     w = edge_weights(state.spec)
     psi = state.values
     d -= (float((w * (psi.real * d.real + psi.imag * d.imag)).sum()) / state_mass) * psi
@@ -467,7 +469,7 @@ def gradient_flow_fixed_mass(
     w = edge_weights(spec)
     h = spec.spacing
     N = spec.points_per_edge
-    resolvent = _Resolvent(spec)
+    resolvent = _Arrowhead(spec, 1.0, _lapack_chain)
 
     recorder = TraceRecorder(state0)
     rejected = 0

@@ -12,8 +12,10 @@ derivatives match to machine precision and makes descent methods
 honest.
 
 The Kirchhoff Laplacian L (natural far end) is written here once: a
-stencil for any state and a banded matrix on vertex-symmetric states,
-which the Crank-Nicolson solver and the Newton refinement factor.
+stencil for any state and a banded matrix on vertex-symmetric states.
+The Newton refinement factors the matrix, and one arrowhead solver,
+_Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
+-2i/dt) and for the descent flow's preconditioner (shift 1).
 """
 
 from __future__ import annotations
@@ -69,8 +71,8 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
     """L on vertex-symmetric states, shape (3, N), in solve_banded layout.
 
     Such a state is one edge profile u, u[0] the vertex, whose vertex
-    row reads 2 (u[1] - u[0]) / h^2.  The CN solver's per-edge chain is
-    bands[:, 1:]; the Newton Jacobian is -bands plus a diagonal.
+    row reads 2 (u[1] - u[0]) / h^2.  _Arrowhead's per-edge chain is
+    shift I - bands[:, 1:]; the Newton Jacobian is -bands plus a diagonal.
     """
     h = spec.spacing
     h2 = h * h
@@ -89,46 +91,61 @@ def _vertex_coupling(spec: GraphSpec) -> float:
     return 2.0 / (spec.edge_count * (h * h))
 
 
-class _Resolvent:
-    """Direct solver for (I - L) W = rhs, L as in _laplacian_values.
+class _Arrowhead:
+    """Direct solver for (shift I - L) W = rhs, L as in _laplacian_values.
 
-    The arrowhead elimination of dynamics._ArrowheadSolver with the real
-    shift 1: the per-edge chain I - bands[:, 1:] is factored once with
-    LAPACK dgttrf, and each solve is one dgttrs call over the real and
-    imaginary parts of every edge, plus a scalar division for the
-    vertex.  The chain is strictly diagonally dominant, so the
-    factorization cannot fail.  The Crank-Nicolson solver can move onto this resolvent (with
-    a complex shift) once the benchmark counts its solves somewhere
-    other than the dynamics.solve_banded binding.
+    Eliminating the E per-edge chains against the single vertex unknown
+    is a rank-one Schur complement: one chain solve per right-hand side
+    plus a scalar division.  Every edge has the same tridiagonal chain,
+    shift I - bands[:, 1:], because the grid is uniform and shared.
+    factor(chain) returns its solve, B -> chain^{-1} B for B of shape
+    (N-1, k): the descent flow passes _lapack_chain, and the
+    Crank-Nicolson stepper passes a solve_banded call made through the
+    dynamics module because the benchmark counts its solves there, so
+    factor goes once that count moves to solve().  solves counts the
+    calls to solve().
     """
 
-    def __init__(self, spec: GraphSpec):
+    def __init__(self, spec: GraphSpec, shift: complex, factor):
         bands = _laplacian_bands(spec)
-        chain = -bands[:, 1:]
-        chain[1] += 1.0
-        # sub-, main and super-diagonal of the chain; drop dgttrf's info
-        self._factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
-        # the vertex enters each chain's first row with bands[2, 0] = 1/h^2
+        chain = (-bands[:, 1:]).astype(np.result_type(bands, shift))
+        chain[1] += shift
+        self._chain_solve = factor(chain)
+        # the vertex enters each chain's first row with -bands[2, 0] = -1/h^2
         e1 = np.zeros((chain.shape[1], 1))
         e1[0, 0] = bands[2, 0]
-        self._z = dgttrs(*self._factors, e1)[0][:, 0]
+        self._z = self._chain_solve(e1)[:, 0]
         self._vertex_coupling = _vertex_coupling(spec)
-        self._denom = (1.0 - bands[1, 0]) - bands[0, 1] * self._z[0]
+        self._denom = (shift - bands[1, 0]) - bands[0, 1] * self._z[0]
+        self.solves = 0
 
-    def solve(self, rhs: np.ndarray) -> np.ndarray:
-        """W of shape (E, N) for a vertex-continuous rhs of that shape;
-        the vertex row reads the mean of rhs[:, 0]."""
-        E = rhs.shape[0]
-        edges = rhs[:, 1:]
-        Y = dgttrs(*self._factors, np.concatenate((edges.real, edges.imag)).T,
-                   overwrite_b=1)[0]
-        chains = Y[:, :E] + 1j * Y[:, E:]
-        v = (rhs[:, 0].mean() + self._vertex_coupling * chains[0].sum()) / self._denom
-        out = np.empty(rhs.shape, dtype=np.complex128)
+    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
+        """Write the solution into out, shape (E, N): the vertex value
+        in column 0 and the per-edge chains of length N-1 after it.
+        rhs_edges must be finite; the result is not checked."""
+        self.solves += 1
+        Y = self._chain_solve(rhs_edges.T)
+        v = (rhs_vertex + self._vertex_coupling * Y[0, :].sum()) / self._denom
         out[:, 0] = v
-        np.multiply(self._z, v, out=out[:, 1:])
-        out[:, 1:] += chains.T
-        return out
+        chains = out[:, 1:]
+        np.multiply(self._z, v, out=chains)
+        chains += Y.T
+
+
+def _lapack_chain(chain: np.ndarray):
+    """Chain solve for _Arrowhead with a real shift: LAPACK dgttrf once,
+    then one dgttrs call over the real and imaginary parts of B.  A
+    positive shift makes the chain strictly diagonally dominant, so the
+    factorization cannot fail."""
+    # sub-, main and super-diagonal of the chain; drop dgttrf's info
+    factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
+
+    def solve(B):
+        k = B.shape[1]
+        # stacked as rows and transposed: dgttrs gets a Fortran-ordered block
+        Y = dgttrs(*factors, np.concatenate((B.real.T, B.imag.T)).T, overwrite_b=1)[0]
+        return Y[:, :k] + 1j * Y[:, k:]
+    return solve
 
 
 def apply_laplacian(state: GraphState) -> GraphState:

@@ -77,10 +77,6 @@ def solve_offset(m1: float, m2: float) -> float:
         )
     # Rounding can land a hair below 1 at the degenerate corner; clamp.
     ratio = max(ratio, 1.0)
-    if ratio > 1e8:
-        # acosh(z) = log(2z) up to O(z^-2); avoids overflow of z + sqrt(z^2-1)
-        # in intermediate precision for extreme mass ratios.
-        return (4.0 / m2) * math.log(2.0 * ratio)
     return (4.0 / m2) * math.acosh(ratio)
 
 

@@ -268,6 +268,7 @@ class TestBadInput:
         ["profile", "stationary", "--mass", "1e200"],
         ["scan", "sesqui", "--mass", "1e200"],
         ["evolve", "--mass", "1e100"],
+        ["evolve", "--length", "1e-160"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed

@@ -46,7 +46,7 @@ class TestGraphSpec:
 
     @pytest.mark.parametrize("edges,length,points", [
         (1, 30.0, 64), (0, 30.0, 64), (3, 0.0, 64), (3, -1.0, 64),
-        (3, 30.0, 1), (3, 30.0, 0),
+        (3, 30.0, 1), (3, 30.0, 0), (3, 30.0, 3),
     ])
     def test_rejects_bad_grids(self, edges, length, points):
         with pytest.raises(DomainError):

@@ -35,16 +35,21 @@ FLOW_START = shift_perturbation(M, GraphSpec(3, 20.0, 32), 0.01)
 @given(st.floats())
 @example(math.inf)
 @example(5e-324)
+@example(1e-153)
 @example(sys.float_info.max)
 def test_graph_spec_length(length):
     try:
         spec = GraphSpec(3, length, 16)
     except DomainError:
-        # np.linspace computes 15 * (length / 15) for the last coordinate
-        assert not (math.isfinite(length) and length / 15 > 0
-                    and math.isfinite(15 * (length / 15)))
+        # np.linspace computes 15 * (length / 15) for the last coordinate,
+        # and the Laplacian 2 / h^2 with h^2 = h * h
+        h = length / 15
+        assert not (math.isfinite(length) and h > 0
+                    and math.isfinite(15 * (length / 15))
+                    and h * h > 0 and math.isfinite(2.0 / (h * h)))
         return
     assert math.isfinite(spec.spacing) and spec.spacing > 0
+    assert math.isfinite(2.0 / (spec.spacing * spec.spacing))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         coordinates = spec.coordinates()
@@ -100,6 +105,7 @@ def test_flow_step_and_tolerance(step, grad_tol):
 @example(1e100)
 @example(1e200)
 @example(5e-324)
+@example(1e-153)
 @example(sys.float_info.max)
 def test_mass_gives_a_finite_energy_or_a_domain_error(mass_value):
     # what `graphnls profile stationary --mass <mass_value> --points 64` does

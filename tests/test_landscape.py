@@ -39,7 +39,7 @@ from graphnls import (
     stationary_state,
     vertex_defect,
 )
-from graphnls.operators import _Resolvent
+from graphnls.operators import _Arrowhead, _lapack_chain
 
 M = 6.0
 
@@ -335,7 +335,8 @@ class TestSobolevDirection:
     def direction(state):
         g = energy_gradient(state)
         r = g.values + best_omega(state, g) * state.values
-        d = landscape._sobolev_direction(state, r, mass(state), _Resolvent(state.spec))
+        resolvent = _Arrowhead(state.spec, 1.0, _lapack_chain)
+        d = landscape._sobolev_direction(state, r, mass(state), resolvent)
         return g, d
 
     @staticmethod

@@ -24,9 +24,9 @@ from graphnls import (
     weighted_inner,
     weighted_norm,
 )
-from graphnls.dynamics import _ArrowheadSolver
-from graphnls.operators import (_Resolvent, _laplacian_bands, _laplacian_values,
-                                _vertex_coupling)
+from graphnls.dynamics import _banded_chain
+from graphnls.operators import (_Arrowhead, _lapack_chain, _laplacian_bands,
+                                _laplacian_values, _vertex_coupling)
 
 M = 6.0
 
@@ -98,16 +98,6 @@ class TestOneMatrix:
         stencil = _laplacian_values(np.broadcast_to(u, (3, u.size)), spec)
         assert np.max(np.abs(stencil - matrix @ u)) <= 1e-12 * np.max(np.abs(stencil))
 
-    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
-    def test_arrowhead_solve_inverts_the_shifted_laplacian(self, rng, dt):
-        spec = GraphSpec(3, 5.0, 257)
-        rhs = state_alive_at_far_end(spec, rng).values
-        W = np.empty_like(rhs)
-        _ArrowheadSolver(spec, dt).solve(rhs[0, 0], rhs[:, 1:], W)
-        residual = (2j / dt) * W + _laplacian_values(W, spec) - rhs
-        assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
-
-
     def test_bands_equal_the_stencil_bit_for_bit(self):
         # on this grid h * h != h ** 2, so both must square h one way
         spec = GraphSpec(3, 30.0, 384)
@@ -124,12 +114,21 @@ class TestOneMatrix:
         one_edge[0, 1] = 1.0
         assert _laplacian_values(one_edge, spec)[0, 0] == _vertex_coupling(spec)
 
-    @pytest.mark.parametrize("length, points", [(5.0, 257), (30.0, 4096)])
-    def test_resolvent_inverts_one_minus_the_laplacian(self, rng, length, points):
+    # the stepper's ((-2i/dt) I - L) W = -rhs for dt = +-1e-3 and the
+    # flow's (I - L) W = rhs; at L = 5/N = 4096 the stencil's own
+    # rounding reads 1.1e-10, so that grid would measure the measurement
+    @pytest.mark.parametrize("shift, factor, length, points", [
+        (-2j / 1e-3, _banded_chain, 5.0, 257),
+        (-2j / -1e-3, _banded_chain, 5.0, 257),
+        (1.0, _lapack_chain, 5.0, 257),
+        (1.0, _lapack_chain, 30.0, 4096),
+    ], ids=["stepper-dt=1e-3", "stepper-dt=-1e-3", "flow-5.0-257", "flow-30.0-4096"])
+    def test_arrowhead_inverts_the_shifted_laplacian(self, rng, shift, factor, length, points):
         spec = GraphSpec(3, length, points)
         rhs = state_alive_at_far_end(spec, rng).values
-        W = _Resolvent(spec).solve(rhs)
-        residual = W - _laplacian_values(W, spec) - rhs
+        W = np.empty_like(rhs)
+        _Arrowhead(spec, shift, factor).solve(rhs[:, 0].mean(), rhs[:, 1:], W)
+        residual = shift * W - _laplacian_values(W, spec) - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
 

@@ -97,6 +97,10 @@ class TestOffset:
         assert math.isfinite(y)
         assert line_profile(6.0, 0.0)(y) == pytest.approx(
             1e-12 / math.sqrt(2.0), rel=1e-6)
+        # log(2 * ratio) would overflow here, and acosh does not
+        y = solve_offset(1e-308, 3.4)
+        assert math.isfinite(y)
+        assert y == (4.0 / 3.4) * math.acosh(3.4 / (2.0 * 1e-308))
 
     def test_inadmissible_masses_rejected(self):
         with pytest.raises(OffsetError):
