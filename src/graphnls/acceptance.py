@@ -8,14 +8,16 @@ computes, which feeds the global lower-bound check at the end.
 Grid policy: checks run on the configured grid, except the
 random-state property suites (capped at 256 points to keep 50-state
 sweeps fast).  The cap only ever shrinks the grid, so a coarse
-configured grid is honored.
+configured grid is honored.  Every criterion records its wall time
+and the grids it built.
 """
 
 from __future__ import annotations
 
 import io
 import math
-from dataclasses import dataclass
+import time
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -86,8 +88,15 @@ class _Battery:
         self.seed = int(seed)
         self.results: list[CheckResult] = []
         self.min_energy = math.inf
+        self.criteria: list[dict] = []  # number, wall seconds and grids of each
+        self._grids: list[GraphSpec] = []
 
     # -- bookkeeping ----------------------------------------------------
+
+    def grid(self, spec: GraphSpec) -> GraphSpec:
+        """spec, recorded as a grid the running criterion builds on."""
+        self._grids.append(spec)
+        return spec
 
     def note_energy(self, value: float) -> float:
         if value < self.min_energy:
@@ -147,9 +156,9 @@ class _Battery:
             st = GraphState.from_edges(spec2, [prof, prof])
             return self.state_energy(st) / 2.0
 
-        spec2 = GraphSpec(2, self.spec.truncation_length, self.spec.points_per_edge)
+        spec2 = self.grid(replace(self.spec, edge_count=2))
         e_coarse = half_line_energy(spec2)
-        e_fine = half_line_energy(_halved(spec2))
+        e_fine = half_line_energy(self.grid(_halved(spec2)))
         self.check_rel("half_soliton_energy", 1, e_coarse, target, 5e-4)
         ratio = abs(e_coarse - target) / abs(e_fine - target)
         self.check_range("half_soliton_energy_order", 1, ratio, 3.5, 4.5)
@@ -158,7 +167,7 @@ class _Battery:
         """Line minimum via a 2-edge graph: E of the mass-4 soliton is -2/3."""
         m = 4.0
         target = -(m ** 3) / 96.0
-        spec2 = GraphSpec(2, self.spec.truncation_length, self.spec.points_per_edge)
+        spec2 = self.grid(replace(self.spec, edge_count=2))
         x = spec2.coordinates()
         st = GraphState.from_edges(
             spec2, [line_soliton(m, 0.0, x), line_soliton(m, 0.0, -x)])
@@ -166,7 +175,7 @@ class _Battery:
 
     def criterion_3(self):
         m1_values = [0.5, 1.0, 1.5, 2.0]
-        scan = scan_sesqui_curve(self.M, m1_values, self.spec)
+        scan = scan_sesqui_curve(self.M, m1_values, self.grid(self.spec))
         for m1, closed, disc in zip(m1_values, scan.closed_energy, scan.discrete_energy):
             self.note_energy(disc)
             self.check_rel(f"sesqui_energy_m1_{m1:g}", 3, disc, closed, 5e-4)
@@ -175,7 +184,7 @@ class _Battery:
                         "discrete energies strictly increasing in m1")
 
     def criterion_4(self):
-        spec_long = GraphSpec(3, 60.0, self.spec.points_per_edge)
+        spec_long = self.grid(replace(self.spec, truncation_length=60.0))
         demo = minimizing_sequence_demo(self.M, [1.0, 0.5, 0.1, 0.02], spec_long)
         for e in demo.discrete_energy:
             self.note_energy(e)
@@ -186,10 +195,11 @@ class _Battery:
                         "gaps strictly decreasing toward 0")
 
     def criterion_5(self):
+        spec = self.grid(self.spec)
         rng = np.random.default_rng(self.seed)
         worst = -math.inf
         for _ in range(200):
-            st = random_vertex_continuous_state(self.spec, rng, target_mass=self.M)
+            st = random_vertex_continuous_state(spec, rng, target_mass=self.M)
             e_in = self.state_energy(st)
             _, _, cmp_state = comparison_sesquisoliton(st)
             e_cmp = self.state_energy(cmp_state)
@@ -197,24 +207,26 @@ class _Battery:
         self.check_at_most("comparison_dominates", 5, worst, 1e-6)
 
     def criterion_6(self):
-        st, info = stationary_state(self.M, self.spec)
+        spec = self.grid(self.spec)
+        st, info = stationary_state(self.M, spec)
         res = el_residual(st, info.omega)
         self.check_at_most("el_residual", 6, res, 1e-3)
-        st_fine, _ = stationary_state(self.M, _halved(self.spec))
+        st_fine, _ = stationary_state(self.M, self.grid(_halved(spec)))
         res_fine = el_residual(st_fine, info.omega)
         self.check_range("el_residual_order", 6, res / res_fine, 3.5, 4.5)
         self.check_abs("best_omega_M6", 6, best_omega(st), info.omega, 1e-3)
-        st3, info3 = stationary_state(self.M / 2.0, self.spec)
+        st3, info3 = stationary_state(self.M / 2.0, spec)
         self.check_abs("best_omega_M3", 6, best_omega(st3), info3.omega, 1e-3)
 
     def criterion_7(self):
-        st, _ = stationary_state(self.M, self.spec)
+        spec = self.grid(self.spec)
+        st, _ = stationary_state(self.M, spec)
         self.state_energy(st)
-        d_sesqui = sesqui_tangent(self.M, self.spec)
+        d_sesqui = sesqui_tangent(self.M, spec)
         for eps in (1e-2, 5e-3, 2.5e-3):
             rep = hessian_probe(st, d_sesqui, eps, label="sesqui_tangent")
             self.check_below(f"probe_sesqui_eps_{eps:g}", 7, rep.second_difference, 0.0)
-        d_dil = dilation_tangent(self.M, self.spec)
+        d_dil = dilation_tangent(self.M, spec)
         rep = hessian_probe(st, d_dil, 1e-2, label="dilation_tangent")
         self.check_abs("probe_dilation", 7, rep.second_difference, 2.0, 0.2)
         rep = hessian_probe(st, phase_direction(st), 1e-2, label="phase")
@@ -223,7 +235,7 @@ class _Battery:
         self.check_abs("sesqui_curvature_closed_form", 7, curv, -self.M / 8.0, 1e-6)
 
     def criterion_8(self):
-        st, _ = discrete_stationary_state(self.M, self.spec)
+        st, _ = discrete_stationary_state(self.M, self.grid(self.spec))
         self.state_energy(st)
         cfg = EvolutionConfig(dt=self.dt, t_final=self.t_final, observe_every=10)
         final, trace = evolve(st, cfg)
@@ -243,11 +255,12 @@ class _Battery:
     def criterion_9(self):
         stationary_value = -(self.M ** 3) / 216.0
         floor = energy_infimum(self.M) - FLOOR_SLACK
+        spec = self.grid(self.spec)
         # the shift start and the gather start (edges 1 and 2 kept equal)
         # both escape toward the infimum
         escapes = (("escape", shift_perturbation), ("gather_escape", gather_perturbation))
         for name, perturbation in escapes:
-            start = perturbation(self.M, self.spec, fraction=0.01)
+            start = perturbation(self.M, spec, fraction=0.01)
             _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=40000,
                                                 grad_tol=1e-6)
             energies = np.asarray(trace.energies)
@@ -259,7 +272,7 @@ class _Battery:
                 f"{name}_trace_floor", 9, float(energies.min()),
                 f">= {floor:.6g}", None, bool(energies.min() >= floor)))
 
-        sym = dilation_family(self.M, 1.01, self.spec)
+        sym = dilation_family(self.M, 1.01, spec)
         _, trace2 = gradient_flow_fixed_mass(sym, step=0.1, max_iters=500,
                                              grad_tol=1e-3)
         for e in trace2.energies:
@@ -269,7 +282,7 @@ class _Battery:
 
     def criterion_10(self):
         points = min(256, self.spec.points_per_edge)
-        spec10 = GraphSpec(3, self.spec.truncation_length, points)
+        spec10 = self.grid(replace(self.spec, points_per_edge=points))
         rng = np.random.default_rng(self.seed)
 
         worst_fd = 0.0
@@ -320,16 +333,21 @@ class _Battery:
             "battery_energy_floor", 4, self.min_energy,
             f">= {floor:.6g}", None, bool(self.min_energy >= floor)))
 
+    def run_criterion(self, number: int) -> None:
+        """Run one criterion and append its wall time and grids to criteria."""
+        self._grids = []
+        start = time.perf_counter()
+        try:
+            getattr(self, f"criterion_{number}")()
+        except Exception as exc:  # keep the battery going; report the failure
+            self.fail_exception(number, exc)
+        self.criteria.append({"criterion": number,
+                              "seconds": time.perf_counter() - start,
+                              "grids": [asdict(spec) for spec in self._grids]})
+
     def run(self) -> list[CheckResult]:
-        steps = [self.criterion_1, self.criterion_2, self.criterion_3,
-                 self.criterion_4, self.criterion_5, self.criterion_6,
-                 self.criterion_7, self.criterion_8, self.criterion_9,
-                 self.criterion_10]
-        for number, step in enumerate(steps, start=1):
-            try:
-                step()
-            except Exception as exc:  # keep the battery going; report the failure
-                self.fail_exception(number, exc)
+        for number in range(1, 11):
+            self.run_criterion(number)
         self.finish()
         return self.results
 

@@ -4,7 +4,9 @@ One binary with subcommands.  Precedence for settings: command-line
 flags, then the GRAPHNLS_OUT environment variable (output directory
 only), then a `--config` file of flat `key = value` lines, then the
 built-in defaults.  Outputs are deterministic for a fixed config and
-seed: no timestamps, 17 significant digits, sorted JSON keys.
+seed: no timestamps, 17 significant digits, sorted JSON keys.  The one
+exception is the wall time of each criterion in verify_report.json's
+"criteria" list, which verify also prints to stderr.
 
 Exit codes: 0 success, 1 check or run failure, 2 usage/config error.
 """
@@ -21,7 +23,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .acceptance import all_passed, run_acceptance
+from .acceptance import _Battery, all_passed
 from .dynamics import (EvolutionConfig, discrete_stationary_state,
                        evolve, measure_omega)
 from .errors import DomainError, GraphNLSError, StallError, StepFailureError
@@ -175,16 +177,22 @@ def _write_json(config: RunConfig, name: str, obj) -> str:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    results = run_acceptance(mass_value=config.mass, length=config.length,
-                             points=config.points, dt=config.dt,
-                             t_final=config.t_final, seed=config.seed)
+    battery = _Battery(config.mass, config.length, config.points, config.dt,
+                       config.t_final, config.seed)
+    results = battery.run()
     ok = all_passed(results)
     report = {
         "version": __version__,
         "config": asdict(config),
         "checks": [asdict(r) for r in results],
+        "criteria": battery.criteria,
         "all_passed": ok,
     }
+    for c in battery.criteria:
+        grids = "; ".join(f"{g['edge_count']} edges x {g['points_per_edge']} points, "
+                          f"L = {g['truncation_length']:g}" for g in c["grids"])
+        print(f"criterion {c['criterion']:2d}: {c['seconds']:.3f} s on {grids}",
+              file=sys.stderr)
     path = _write_json(config, "verify_report.json", report)
     for r in results:
         flag = "PASS" if r.passed else "FAIL"

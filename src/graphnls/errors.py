@@ -80,7 +80,7 @@ class AliasingError(GraphNLSError):
     """Phase advances too fast for the sampling stride to resolve unambiguously."""
 
 
-class TruncationError(GraphNLSError):
+class TruncationError(DomainError):
     """The requested profile does not fit on the truncated edges.
 
     Attributes

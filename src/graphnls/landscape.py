@@ -21,6 +21,7 @@ the sesquisoliton family.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -62,6 +63,7 @@ _SESQUI_TANGENT_DELTA = 0.1
 _DILATION_TANGENT_DELTA = 1e-3
 _CURVATURE_DELTA = 1e-3
 _CONTROL_POINTS = 9
+_LIVE_CONTROLS = _CONTROL_POINTS - 2
 
 
 @dataclass(frozen=True)
@@ -213,7 +215,7 @@ def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
     _require_finite_energy(M, lam, spec)
     lam, m = float(lam), float(M) / 3.0
     x = spec.coordinates()
-    edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam * x)
+    edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam, x)
     return GraphState.from_edges(spec, [edge] * 3)
 
 
@@ -550,9 +552,9 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gra
     x = spec.coordinates()
     amp = m / math.sqrt(2.0)
     rows = [
-        _scaled_sech(amp, m * x / 2.0),
-        _scaled_sech(amp, m * (x - eta) / 2.0),
-        _scaled_sech(amp, m * (x + eta) / 2.0),
+        _scaled_sech(amp, m / 2.0, x),
+        _scaled_sech(amp, m / 2.0, x - eta),
+        _scaled_sech(amp, m / 2.0, x + eta),
     ]
     vals = np.asarray(rows, dtype=complex)
     vals[:, 0] = vals[:, 0].mean()
@@ -602,6 +604,20 @@ def _require_fraction(fraction: float) -> None:
         raise DomainError("fraction must lie in (0, 1/3)")
 
 
+@functools.lru_cache(maxsize=8)
+def _spline_basis(spec: GraphSpec) -> np.ndarray:
+    """Not-a-knot splines through the unit controls, sampled on the grid:
+    row k of the (7, N) array is the spline of control k.  A spline on
+    fixed nodes is linear in its controls, and the last two controls of a
+    random state are zero.  Built once per grid and shared, so read-only.
+    """
+    nodes = np.linspace(0.0, spec.truncation_length, _CONTROL_POINTS)
+    controls = np.eye(_CONTROL_POINTS)[:, :_LIVE_CONTROLS]
+    basis = CubicSpline(nodes, controls)(spec.coordinates()).T.copy()
+    basis.setflags(write=False)
+    return basis
+
+
 def random_vertex_continuous_state(
     spec: GraphSpec,
     rng: np.random.Generator,
@@ -609,23 +625,24 @@ def random_vertex_continuous_state(
 ) -> GraphState:
     """Smooth random state: per-edge cubic splines sharing the vertex value.
 
-    Control values are complex Gaussians at 9 equispaced nodes; the
+    Control values are complex Gaussians at 9 equispaced nodes, drawn
+    as the vertex value, then per edge 9 real and 9 imaginary parts; the
     vertex control is shared across edges (exact continuity) and the
     last two controls are zero so the state dies off well before the
-    truncation boundary.  Optionally rescaled to a target mass.
+    truncation boundary.  Each edge is two real vector-matrix products
+    with the grid's cached spline basis.  Optionally rescaled to a
+    target mass.
     """
-    nodes = np.linspace(0.0, spec.truncation_length, _CONTROL_POINTS)
-    x = spec.coordinates()
-    vertex_value = complex(rng.standard_normal() + 1j * rng.standard_normal())
-    rows = []
-    for _ in range(spec.edge_count):
-        ctrl = rng.standard_normal(_CONTROL_POINTS) + 1j * rng.standard_normal(_CONTROL_POINTS)
-        ctrl[0] = vertex_value
-        ctrl[-2:] = 0.0
-        vals = CubicSpline(nodes, ctrl)(x)
-        vals[-1] = 0.0
-        rows.append(vals)
-    state = GraphState.from_edges(spec, rows)
+    basis = _spline_basis(spec)
+    vertex_re, vertex_im = rng.standard_normal(), rng.standard_normal()
+    vals = np.empty((spec.edge_count, spec.points_per_edge), dtype=complex)
+    for row in vals:
+        re, im = rng.standard_normal(_CONTROL_POINTS), rng.standard_normal(_CONTROL_POINTS)
+        re[0], im[0] = vertex_re, vertex_im
+        row.real = re[:_LIVE_CONTROLS] @ basis
+        row.imag = im[:_LIVE_CONTROLS] @ basis
+    vals[:, -1] = 0.0
+    state = GraphState(spec, vals)
     if target_mass is not None:
         state = rescale_mass(state, target_mass)
     return state

@@ -31,16 +31,17 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DomainError, OffsetError
+from .errors import DomainError, OffsetError, TruncationError
 from .graph_core import GraphSpec, GraphState
 
 _OFFSET_EDGE_SLACK = 1e-14
 
 
-def _scaled_sech(amp, z) -> np.ndarray:
-    """amp / cosh(z), silent where cosh overflows: the quotient is below 1e-308 amp."""
+def _scaled_sech(amp, rate, x) -> np.ndarray:
+    """amp / cosh(rate * x), silent where the product or cosh overflows:
+    the quotient is below 1e-308 amp there."""
     with np.errstate(over="ignore"):
-        return amp / np.cosh(z)
+        return amp / np.cosh(rate * x)
 
 
 def half_soliton(m: float, spec: GraphSpec) -> np.ndarray:
@@ -48,7 +49,7 @@ def half_soliton(m: float, spec: GraphSpec) -> np.ndarray:
     if not m > 0:
         raise DomainError(f"soliton mass must be positive, got {m}")
     x = spec.coordinates()
-    return _scaled_sech(m / math.sqrt(2.0), 0.5 * m * x)
+    return _scaled_sech(m / math.sqrt(2.0), 0.5 * m, x)
 
 
 def line_soliton(m: float, y: float, xi) -> np.ndarray:
@@ -56,7 +57,7 @@ def line_soliton(m: float, y: float, xi) -> np.ndarray:
     if not m > 0:
         raise DomainError(f"soliton mass must be positive, got {m}")
     xi = np.asarray(xi, dtype=float)
-    return _scaled_sech(m / (2.0 * math.sqrt(2.0)), 0.25 * m * (xi - y))
+    return _scaled_sech(m / (2.0 * math.sqrt(2.0)), 0.25 * m, xi - y)
 
 
 def solve_offset(m1: float, m2: float) -> float:
@@ -116,11 +117,24 @@ def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
     is centered at xi = -offset, so edge 1 holds the bump with its peak
     a distance offset from the vertex and edge 2 holds the monotone far
     tail.  Swapping edges 1 and 2 gives the mirror state with the same
-    energy; this constructor fixes the peak on edge 1.
+    energy; this constructor fixes the peak on edge 1.  A peak beyond
+    the edge's end, offset > L, is a TruncationError.
     """
     if spec.edge_count != 3:
         raise DomainError(
             f"sesquisoliton is defined on the 3-edge star, got {spec.edge_count} edges"
+        )
+    L = spec.truncation_length
+    if params.offset > L:
+        # offset <= L needs m1 >= m2 / (2 cosh z), z = m2 L / 4; written
+        # with exp(-z), which underflows where cosh would overflow
+        z = 0.25 * params.m2 * L
+        floor = params.m2 * math.exp(-z) / (1.0 + math.exp(-2.0 * z))
+        raise TruncationError(
+            f"m1 = {params.m1} puts the sesquisoliton's peak at offset "
+            f"{params.offset:.6g}, beyond the edge length L = {L}; smallest "
+            f"m1 that fits at m2 = {params.m2} is about {floor:.3e}",
+            floor,
         )
     x = spec.coordinates()
     e0 = half_soliton(params.m1, spec)

@@ -9,7 +9,7 @@ missed its window.
 
 import pytest
 
-from graphnls.acceptance import all_passed
+from graphnls.acceptance import _Battery, all_passed
 
 
 def _assert_criterion(battery, criterion):
@@ -74,3 +74,22 @@ def test_battery_summary_counts(battery):
     # every known failure is a criterion-7 chord-negativity check
     assert all(r.criterion == 7 for r in failed)
     assert all_passed(battery) == (not failed)
+
+
+@pytest.mark.parametrize("criterion, grids", [
+    (4, [(3, 60.0, 512)]),
+    (6, [(3, 30.0, 512), (3, 30.0, 1023)]),
+    # the random-state suites cap the grid at 256 points
+    (10, [(3, 30.0, 256)]),
+])
+def test_criterion_reports_its_seconds_and_the_grids_it_built(criterion, grids):
+    battery = _Battery(6.0, 30.0, 512, 1e-3, 1.0, 42)
+    battery.run_criterion(criterion)
+    (entry,) = battery.criteria
+    assert entry["criterion"] == criterion
+    assert entry["seconds"] > 0.0
+    assert entry["grids"] == [
+        {"edge_count": e, "truncation_length": length, "points_per_edge": n}
+        for e, length, n in grids]
+    assert {r.criterion for r in battery.results} == {criterion}
+    assert not any(r.name.endswith("_error") for r in battery.results)

@@ -245,6 +245,13 @@ class TestVerify:
         names = {c["name"] for c in report["checks"]}
         assert "csv_determinism" in names
         assert "PASS" in r.stdout and "FAIL" in r.stdout
+        criteria = report["criteria"]
+        assert [c["criterion"] for c in criteria] == list(range(1, 11))
+        assert all(c["seconds"] >= 0.0 and c["grids"] for c in criteria)
+        # below 256 points criterion 10 keeps the configured grid
+        assert criteria[9]["grids"] == [
+            {"edge_count": 3, "truncation_length": 20.0, "points_per_edge": 64}]
+        assert r.stderr.count(" s on ") == 10
 
 
 class TestBadInput:
@@ -269,6 +276,10 @@ class TestBadInput:
         ["scan", "sesqui", "--mass", "1e200"],
         ["evolve", "--mass", "1e100"],
         ["evolve", "--length", "1e-160"],
+        # the sesquisoliton's peak lies beyond L = 30 (offsets 835.79, 33.9)
+        ["profile", "sesqui", "--m1", "1e-308", "--m2", "3.4"],
+        ["profile", "sesqui", "--m1", "1e-12", "--m2", "3.4"],
+        ["scan", "minseq", "--m1", "1e-30"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed

@@ -1,10 +1,10 @@
 """Every float either gives a usable object or raises DomainError.
 
 Property tests over all of float64, NaN and the infinities included:
-a grid, a time-stepping configuration, a descent-flow call and a
-total mass are either valid (and then behave) or rejected up front
-with DomainError, never a ValueError, an OverflowError or a failure
-part-way through.
+a grid, a time-stepping configuration, a descent-flow call, a total
+mass and a sesquisoliton's masses are either valid (and then behave)
+or rejected up front with DomainError, never a ValueError, an
+OverflowError or a failure part-way through.
 """
 
 import math
@@ -12,18 +12,21 @@ import sys
 import warnings
 
 import numpy as np
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from graphnls import (
     DomainError,
     EvolutionConfig,
     GraphSpec,
+    SesquiParams,
     StallError,
     energy,
     gradient_flow_fixed_mass,
     mass,
+    sesquisoliton,
     shift_perturbation,
+    solve_offset,
     stationary_state,
 )
 from graphnls.cli import RunConfig
@@ -119,3 +122,30 @@ def test_mass_gives_a_finite_energy_or_a_domain_error(mass_value):
             return
         total = energy(state).total
     assert math.isfinite(total)
+
+
+@settings(deadline=None)
+@given(st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+       st.floats(min_value=2.0, allow_infinity=False),
+       st.sampled_from([5.0, 30.0]))
+@example(2e-308, 1.7e308, 30.0)  # m2 = 3.4: the peak at offset 835
+@example(1e-12, 3.4e12, 30.0)    # m2 = 3.4: offset 33.9
+@example(1.0, 4.0, 30.0)
+@example(1.0, 2.0, 5.0)          # m2 = 2 m1: offset 0
+@example(1e200, 3.0, 30.0)
+@example(5e-324, 2.0, 30.0)
+def test_sesquisoliton_fits_on_the_edge_or_is_a_domain_error(m1, ratio, length):
+    # m2 >= 2 m1, as rounding keeps ratio * m1 >= 2 * m1
+    m2 = ratio * m1
+    assume(math.isfinite(m2))
+    spec = GraphSpec(3, length, 64)
+    fits = solve_offset(m1, m2) <= length
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            state = sesquisoliton(SesquiParams.solve(m1, m2), spec)
+        except DomainError:
+            assert not fits
+            return
+    assert fits
+    assert state.values.shape == (3, 64)

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from graphnls import dynamics, graph_core, landscape, operators
 from graphnls import (
@@ -371,3 +372,56 @@ class TestRandomStates:
         a = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)
         b = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)
         assert np.max(np.abs(a.values - b.values)) > 1e-3
+
+
+def _spline_edges(spec, seed):
+    """The random state's edges as one CubicSpline per edge, from the
+    controls that seed draws: the vertex value, then per edge 9 real
+    and 9 imaginary parts."""
+    rng = np.random.default_rng(seed)
+    nodes = np.linspace(0.0, spec.truncation_length, 9)
+    vertex = complex(rng.standard_normal() + 1j * rng.standard_normal())
+    edges = []
+    for _ in range(spec.edge_count):
+        ctrl = rng.standard_normal(9) + 1j * rng.standard_normal(9)
+        ctrl[0] = vertex
+        ctrl[-2:] = 0.0
+        vals = CubicSpline(nodes, ctrl)(spec.coordinates())
+        vals[-1] = 0.0
+        edges.append(vals)
+    return edges
+
+
+class TestSplineBasis:
+    @pytest.mark.parametrize("length", [5.0, 30.0])
+    @pytest.mark.parametrize("points", [64, 384, 4096])
+    def test_edges_match_one_spline_per_edge(self, length, points):
+        spec = GraphSpec(3, length, points)
+        for seed in range(10):
+            st = random_vertex_continuous_state(spec, np.random.default_rng(seed))
+            for row, ref in zip(st.values, _spline_edges(spec, seed)):
+                assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
+
+    def test_vertex_is_shared_and_far_end_is_zero(self, coarse_spec, rng):
+        for _ in range(10):
+            vals = random_vertex_continuous_state(coarse_spec, rng).values
+            assert np.all(vals[:, 0] == vals[0, 0])
+            assert np.all(vals[:, -1] == 0.0)
+
+    def test_same_seed_same_state(self, coarse_spec):
+        a, b = (random_vertex_continuous_state(
+            coarse_spec, np.random.default_rng(7), target_mass=M) for _ in range(2))
+        assert a.values.tobytes() == b.values.tobytes()
+
+    def test_basis_is_cached_read_only_and_per_grid(self, coarse_spec):
+        basis = landscape._spline_basis(coarse_spec)
+        assert basis is landscape._spline_basis(GraphSpec(3, 20.0, 128))
+        assert basis.shape == (7, 128)
+        assert not basis.flags.writeable
+        with pytest.raises(ValueError):
+            basis[0, 0] = 2.0
+        assert landscape._spline_basis(GraphSpec(3, 20.0, 64)).shape == (7, 64)
+        # the nodes scale with L, so only the grid's point count shapes the values
+        other = landscape._spline_basis(GraphSpec(3, 5.0, 128))
+        assert other is not basis
+        np.testing.assert_allclose(other, basis, rtol=0.0, atol=1e-15)

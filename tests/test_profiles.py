@@ -11,6 +11,7 @@ from graphnls import (
     GraphSpec,
     OffsetError,
     SesquiParams,
+    TruncationError,
     energy,
     energy_infimum,
     energy_sesqui_closed,
@@ -136,6 +137,19 @@ class TestSesquisoliton:
     def test_needs_three_edges(self):
         with pytest.raises(DomainError):
             sesquisoliton(SesquiParams.solve(1.0, 5.0), GraphSpec(2, 30.0, 64))
+
+    @pytest.mark.parametrize("m1", [1e-12, 1e-308])
+    def test_peak_beyond_the_edge_is_a_truncation_error(self, m1):
+        spec = GraphSpec(3, 30.0, 64)
+        params = SesquiParams.solve(m1, 3.4)
+        assert params.offset > 30.0
+        with pytest.raises(TruncationError) as exc:
+            sesquisoliton(params, spec)
+        assert isinstance(exc.value, DomainError)
+        # the floor puts the peak at the far end, x = L
+        floor = exc.value.m1_floor
+        assert solve_offset(floor, 3.4) == pytest.approx(30.0, rel=1e-9)
+        sesquisoliton(SesquiParams.solve(floor * (1.0 + 1e-9), 3.4), spec)
 
 
 class TestClosedEnergy:
