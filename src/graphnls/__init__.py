@@ -38,6 +38,7 @@ from .graph_core import (
 from .profiles import (
     SesquiParams,
     StationaryInfo,
+    dilation_family,
     energy_infimum,
     energy_sesqui_closed,
     half_soliton,
@@ -71,7 +72,6 @@ from .landscape import (
     SaddleReport,
     comparison_sesquisoliton,
     deposit_perturbation,
-    dilation_family,
     dilation_tangent,
     gather_perturbation,
     gradient_flow_fixed_mass,
@@ -86,74 +86,3 @@ from .landscape import (
     shift_perturbation,
 )
 from .acceptance import CheckResult, all_passed, run_acceptance
-
-__all__ = [
-    "__version__",
-    "AliasingError",
-    "ContinuityError",
-    "DegenerateStateError",
-    "DomainError",
-    "GraphNLSError",
-    "OffsetError",
-    "ProbeError",
-    "StallError",
-    "StepFailureError",
-    "TruncationError",
-    "ZeroEdgeMassError",
-    "CONTINUITY_TOL",
-    "EnergyReport",
-    "GraphSpec",
-    "GraphState",
-    "edge_masses",
-    "edge_weights",
-    "kinetic_quadratic_form",
-    "mass",
-    "rescale_mass",
-    "state_columns",
-    "table_json",
-    "vertex_defect",
-    "write_csv",
-    "SesquiParams",
-    "StationaryInfo",
-    "energy_infimum",
-    "energy_sesqui_closed",
-    "half_soliton",
-    "line_soliton",
-    "sesquisoliton",
-    "solve_offset",
-    "stationary_state",
-    "apply_laplacian",
-    "best_omega",
-    "el_residual",
-    "energy",
-    "energy_gradient",
-    "weighted_inner",
-    "weighted_norm",
-    "EvolutionConfig",
-    "FlowTrace",
-    "discrete_stationary_state",
-    "evolve",
-    "measure_omega",
-    "phase_slope",
-    "step_crank_nicolson",
-    "CurveScan",
-    "SaddleReport",
-    "comparison_sesquisoliton",
-    "deposit_perturbation",
-    "dilation_family",
-    "dilation_tangent",
-    "gather_perturbation",
-    "gradient_flow_fixed_mass",
-    "hessian_probe",
-    "minimizing_sequence_demo",
-    "phase_direction",
-    "random_vertex_continuous_state",
-    "scan_dilation_curve",
-    "scan_sesqui_curve",
-    "sesqui_curve_second_derivative",
-    "sesqui_tangent",
-    "shift_perturbation",
-    "CheckResult",
-    "all_passed",
-    "run_acceptance",
-]

@@ -33,7 +33,6 @@ from .graph_core import (
 )
 from .landscape import (
     comparison_sesquisoliton,
-    dilation_family,
     dilation_tangent,
     gather_perturbation,
     gradient_flow_fixed_mass,
@@ -55,7 +54,8 @@ from .operators import (
     weighted_inner,
     weighted_norm,
 )
-from .profiles import energy_infimum, half_soliton, line_soliton, stationary_state
+from .profiles import (dilation_family, energy_infimum, half_soliton, line_soliton,
+                       stationary_state)
 
 FLOOR_SLACK = 5e-3
 

@@ -29,7 +29,6 @@ from .dynamics import (EvolutionConfig, discrete_stationary_state,
 from .errors import DomainError, GraphNLSError, StallError, StepFailureError
 from .graph_core import GraphSpec, state_columns, table_json, write_csv
 from .landscape import (
-    dilation_family,
     deposit_perturbation,
     gather_perturbation,
     gradient_flow_fixed_mass,
@@ -39,8 +38,8 @@ from .landscape import (
     shift_perturbation,
 )
 from .operators import energy
-from .profiles import (SesquiParams, _require_finite_energy, energy_infimum,
-                       sesquisoliton, stationary_state)
+from .profiles import (SesquiParams, _require_finite_energy, dilation_family,
+                       energy_infimum, sesquisoliton, stationary_state)
 
 _DEFAULT_RANGES = {
     "sesqui": "0.01:2.0:40",

@@ -45,7 +45,7 @@ class GraphSpec:
             raise DomainError(
                 f"truncation_length must be positive and finite, got {self.truncation_length}"
             )
-        # scipy's dgttrf rejects a tridiagonal chain (N - 1 unknowns) below 3
+        # LAPACK's ?gttrf rejects a tridiagonal chain (N - 1 unknowns) below 3
         if self.points_per_edge < 4:
             raise DomainError(f"need at least 4 points per edge, got {self.points_per_edge}")
         # the Laplacian's entries are 2/h^2 (h * h, as in operators)

@@ -47,9 +47,9 @@ from .graph_core import (
 from .operators import _Arrowhead, _lapack_chain, best_omega, energy, energy_gradient
 from .profiles import (
     SesquiParams,
-    _require_finite_energy,
     _scaled_sech,
     _sesqui_energy_poly,
+    dilation_family,
     energy_infimum,
     energy_sesqui_closed,
     sesquisoliton,
@@ -201,22 +201,6 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
         metadata=_grid_metadata(M, spec),
         extras={"offset": offsets},
     )
-
-
-def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
-    """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation.
-
-    lam is rejected when the state's energy would overflow.
-    """
-    if not (math.isfinite(lam) and lam > 0):
-        raise DomainError(f"dilation parameter must be positive and finite, got {lam}")
-    if spec.edge_count != 3:
-        raise DomainError("the dilation family lives on the 3-edge star")
-    _require_finite_energy(M, lam, spec)
-    lam, m = float(lam), float(M) / 3.0
-    x = spec.coordinates()
-    edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam, x)
-    return GraphState.from_edges(spec, [edge] * 3)
 
 
 def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:

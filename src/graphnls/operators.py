@@ -15,7 +15,9 @@ The Kirchhoff Laplacian L (natural far end) is written here once: a
 stencil for any state and a banded matrix on vertex-symmetric states.
 The Newton refinement factors the matrix, and one arrowhead solver,
 _Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
--2i/dt) and for the descent flow's preconditioner (shift 1).
+-2i/dt) and for the descent flow's preconditioner (shift 1).  Both
+solve a complex chain: the flow through LAPACK's zgttrf/zgttrs, the
+stepper through solve_banded, where the benchmark counts its solves.
 """
 
 from __future__ import annotations
@@ -23,7 +25,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import dgttrf, dgttrs
+from scipy.linalg.lapack import zgttrf, zgttrs
 
 from .errors import DegenerateStateError, DomainError
 from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_continuity
@@ -99,11 +101,11 @@ class _Arrowhead:
     plus a scalar division.  Every edge has the same tridiagonal chain,
     shift I - bands[:, 1:], because the grid is uniform and shared.
     factor(chain) returns its solve, B -> chain^{-1} B for B of shape
-    (N-1, k): the descent flow passes _lapack_chain, and the
-    Crank-Nicolson stepper passes a solve_banded call made through the
-    dynamics module because the benchmark counts its solves there, so
-    factor goes once that count moves to solve().  solves counts the
-    calls to solve().
+    (N-1, k): the descent flow passes _lapack_chain, which factors the
+    chain once in complex.  factor stays only for the Crank-Nicolson
+    stepper, which passes a solve_banded call made through the dynamics
+    module because the benchmark counts its solves there; it goes once
+    that count moves to solve().  solves counts the calls to solve().
     """
 
     def __init__(self, spec: GraphSpec, shift: complex, factor):
@@ -133,19 +135,14 @@ class _Arrowhead:
 
 
 def _lapack_chain(chain: np.ndarray):
-    """Chain solve for _Arrowhead with a real shift: LAPACK dgttrf once,
-    then one dgttrs call over the real and imaginary parts of B.  A
+    """Chain solve for the flow's _Arrowhead: the chain cast to complex
+    and factored once by LAPACK zgttrf, then one zgttrs call per B.  A
     positive shift makes the chain strictly diagonally dominant, so the
     factorization cannot fail."""
-    # sub-, main and super-diagonal of the chain; drop dgttrf's info
-    factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
-
-    def solve(B):
-        k = B.shape[1]
-        # stacked as rows and transposed: dgttrs gets a Fortran-ordered block
-        Y = dgttrs(*factors, np.concatenate((B.real.T, B.imag.T)).T, overwrite_b=1)[0]
-        return Y[:, :k] + 1j * Y[:, k:]
-    return solve
+    chain = chain.astype(complex)
+    # sub-, main and super-diagonal of the chain; drop zgttrf's info
+    factors = zgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
+    return lambda B: zgttrs(*factors, B)[0]
 
 
 def apply_laplacian(state: GraphState) -> GraphState:

@@ -17,7 +17,7 @@ Building blocks, all for the cubic focusing nonlinearity:
 
 * stationary_state: the unique critical point at fixed total mass M,
   three identical half-solitons of mass M/3 (frequency M^2/36, energy
-  -M^3/216).
+  -M^3/216); dilation_family scales it at fixed mass.
 
 The infimum of the fixed-mass energy is -M^3/96 (a line soliton escaped
 to infinity along two edges); it is approached but never attained, and
@@ -76,8 +76,10 @@ def solve_offset(m1: float, m2: float) -> float:
         raise OffsetError(
             f"no continuous matching exists for m1={m1}, m2={m2}: needs m2 >= 2*m1"
         )
-    # Rounding can land a hair below 1 at the degenerate corner; clamp.
-    ratio = max(ratio, 1.0)
+    # Rounding can land a hair below 1 at the degenerate corner, where the
+    # offset is 0; (4/m2) acosh(1) would be inf * 0 for a subnormal m2.
+    if ratio <= 1.0:
+        return 0.0
     return (4.0 / m2) * math.acosh(ratio)
 
 
@@ -158,6 +160,27 @@ def _require_finite_energy(M: float, lam: float, spec: GraphSpec) -> None:
                           "the energy overflows")
 
 
+def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
+    """sqrt(lam) * phi_{M/3}(lam x) on every edge: mass-preserving dilation
+    of the stationary state, which it is at lam = 1.
+
+    A mass or lam whose energy would overflow is a DomainError.
+    """
+    if not M > 0:
+        raise DomainError(f"total mass must be positive, got {M}")
+    if not (math.isfinite(lam) and lam > 0):
+        raise DomainError(f"dilation parameter must be positive and finite, got {lam}")
+    if spec.edge_count != 3:
+        raise DomainError(
+            f"the symmetric state lives on the 3-edge star, got {spec.edge_count} edges"
+        )
+    _require_finite_energy(M, lam, spec)
+    lam, m = float(lam), float(M) / 3.0
+    x = spec.coordinates()
+    edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam, x)
+    return GraphState.from_edges(spec, [edge] * 3)
+
+
 @dataclass(frozen=True)
 class StationaryInfo:
     """Parameters of the symmetric stationary state at total mass M."""
@@ -172,17 +195,10 @@ def stationary_state(M: float, spec: GraphSpec):
 
     Returns (state, info) with info.omega = M^2/36 and
     info.energy = -M^3/216.  It is a saddle of the fixed-mass energy,
-    not a minimum.  A mass whose energy overflows is a DomainError.
+    not a minimum.  The state is dilation_family(M, 1, spec).
     """
-    if not M > 0:
-        raise DomainError(f"total mass must be positive, got {M}")
-    if spec.edge_count != 3:
-        raise DomainError(
-            f"the stationary state lives on the 3-edge star, got {spec.edge_count} edges"
-        )
-    _require_finite_energy(M, 1.0, spec)
-    edge = half_soliton(M / 3.0, spec)
-    state = GraphState.from_edges(spec, [edge] * 3)
+    # the family rejects first a mass whose M ** 3 would overflow here
+    state = dilation_family(M, 1.0, spec)
     info = StationaryInfo(total_mass=M, omega=M * M / 36.0, energy=-(M ** 3) / 216.0)
     return state, info
 

@@ -5,6 +5,7 @@ reading stdout/stderr through capsys; one smoke test starts the real
 `python -m graphnls.cli` entry point in a child process.
 """
 
+import ast
 import json
 import os
 import subprocess
@@ -334,6 +335,16 @@ class TestEntryPoint:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert "Traceback" not in r.stderr
+
+    def test_demo_imports_resolve(self):
+        # the demos take seconds each and do not run here; their imports do
+        demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
+        names = [(demo.name, alias.name) for demo in demos
+                 for node in ast.walk(ast.parse(demo.read_text()))
+                 if isinstance(node, ast.ImportFrom) and node.module == "graphnls"
+                 for alias in node.names]
+        assert len({demo for demo, _ in names}) == len(demos) > 0
+        assert [n for n in names if not hasattr(graphnls, n[1])] == []
 
 
 class TestConfigPlumbing:

@@ -122,7 +122,10 @@ class TestOneMatrix:
         (-2j / -1e-3, _banded_chain, 5.0, 257),
         (1.0, _lapack_chain, 5.0, 257),
         (1.0, _lapack_chain, 30.0, 4096),
-    ], ids=["stepper-dt=1e-3", "stepper-dt=-1e-3", "flow-5.0-257", "flow-30.0-4096"])
+        (-2j / 1e-3, _banded_chain, 5.0, 4),
+        (1.0, _lapack_chain, 5.0, 4),
+    ], ids=["stepper-dt=1e-3", "stepper-dt=-1e-3", "flow-5.0-257", "flow-30.0-4096",
+            "stepper-5.0-4", "flow-5.0-4"])
     def test_arrowhead_inverts_the_shifted_laplacian(self, rng, shift, factor, length, points):
         spec = GraphSpec(3, length, points)
         rhs = state_alive_at_far_end(spec, rng).values

@@ -90,8 +90,10 @@ class TestOffset:
         assert solve_offset(m1, m2) == pytest.approx(
             bisect_offset(m1, m2), abs=1e-10)
 
-    def test_degenerate_corner_is_zero(self):
-        assert solve_offset(2.0, 4.0) == 0.0
+    # (4/m2) acosh(1) is inf * 0 when 4/m2 overflows
+    @pytest.mark.parametrize("m1,m2", [(2.0, 4.0), (1e-310, 2e-310), (5e-324, 1e-323)])
+    def test_degenerate_corner_is_zero(self, m1, m2):
+        assert solve_offset(m1, m2) == 0.0
 
     def test_extreme_ratio_stays_finite(self):
         y = solve_offset(1e-12, 6.0)
