@@ -132,6 +132,11 @@ class _Battery:
             name, criterion, float(observed),
             f"<= {bound:g}", bound, bool(observed <= bound)))
 
+    def check_at_least(self, name, criterion, observed, bound):
+        self.results.append(CheckResult(
+            name, criterion, float(observed),
+            f">= {bound:g}", None, bool(observed >= bound)))
+
     def check_bool(self, name, criterion, ok, description):
         self.results.append(CheckResult(
             name, criterion, float(bool(ok)), description, None, bool(ok)))
@@ -268,9 +273,7 @@ class _Battery:
                 self.note_energy(e)
             self.check_below(f"{name}_final_energy", 9, float(energies[-1]),
                              stationary_value - 0.05)
-            self.results.append(CheckResult(
-                f"{name}_trace_floor", 9, float(energies.min()),
-                f">= {floor:.6g}", None, bool(energies.min() >= floor)))
+            self.check_at_least(f"{name}_trace_floor", 9, energies.min(), floor)
 
         sym = dilation_family(self.M, 1.01, spec)
         _, trace2 = gradient_flow_fixed_mass(sym, step=0.1, max_iters=500,
@@ -329,9 +332,7 @@ class _Battery:
 
     def finish(self):
         floor = energy_infimum(self.M) - FLOOR_SLACK
-        self.results.append(CheckResult(
-            "battery_energy_floor", 4, self.min_energy,
-            f">= {floor:.6g}", None, bool(self.min_energy >= floor)))
+        self.check_at_least("battery_energy_floor", 4, self.min_energy, floor)
 
     def run_criterion(self, number: int) -> None:
         """Run one criterion and append its wall time and grids to criteria."""

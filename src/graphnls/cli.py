@@ -146,6 +146,16 @@ def _header(config: RunConfig) -> str:
             f"# grid: h={h:.17g}\n")
 
 
+def _open_out(config: RunConfig, name: str):
+    """The file name in the output directory, made if missing, opened for
+    writing; an output that cannot be opened is a DomainError."""
+    try:
+        os.makedirs(config.out, exist_ok=True)
+        return open(os.path.join(config.out, name), "w", encoding="utf-8")
+    except OSError as exc:
+        raise DomainError(f"cannot write output: {exc}") from exc
+
+
 def _write(config: RunConfig, stem: str, columns, **fields) -> str:
     """Write one table in the configured format.
 
@@ -155,21 +165,17 @@ def _write(config: RunConfig, stem: str, columns, **fields) -> str:
     if config.format == "json":
         return _write_json(config, stem + ".json", table_json(
             columns, version=__version__, grid_spacing=config.spec().spacing, **fields))
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, stem + ".csv")
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(config, stem + ".csv") as fh:
         fh.write(_header(config))
         write_csv(fh, columns)
-    return path
+    return fh.name
 
 
 def _write_json(config: RunConfig, name: str, obj) -> str:
-    os.makedirs(config.out, exist_ok=True)
-    path = os.path.join(config.out, name)
-    with open(path, "w", encoding="utf-8") as fh:
+    with _open_out(config, name) as fh:
         json.dump(obj, fh, indent=2, sort_keys=True)
         fh.write("\n")
-    return path
+    return fh.name
 
 
 # -- subcommands ---------------------------------------------------------

@@ -31,7 +31,7 @@ from .errors import (
     GraphNLSError,
     StepFailureError,
 )
-from .graph_core import GraphSpec, GraphState, edge_masses, edge_weights
+from .graph_core import GraphSpec, GraphState, _column_arrays, edge_masses, edge_weights
 from .operators import (_Arrowhead, _laplacian_bands, _laplacian_values, _symmetrized,
                         energy, weighted_inner)
 from .profiles import half_soliton
@@ -99,19 +99,7 @@ class FlowTrace:
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.times)
-        for name in ("masses", "energies", "vertex_phase"):
-            if len(getattr(self, name)) != n:
-                raise DomainError(f"trace field {name} misaligned with times")
-        if self.edge_masses.shape[0] != n:
-            raise DomainError("trace field edge_masses misaligned with times")
-        for key, col in self.extras.items():
-            if len(col) != n:
-                raise DomainError(f"trace extra {key!r} misaligned with times")
-        if n >= 2:
-            d = np.diff(self.times)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise DomainError("trace times must be strictly monotone")
+        _column_arrays(self.columns)
 
     @property
     def mass_drift(self) -> float:

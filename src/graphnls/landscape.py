@@ -39,6 +39,7 @@ from .errors import (
 from .graph_core import (
     GraphSpec,
     GraphState,
+    _column_arrays,
     edge_masses,
     edge_weights,
     mass,
@@ -78,18 +79,7 @@ class CurveScan:
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
-        n = len(self.param_values)
-        if len(self.discrete_energy) != n:
-            raise DomainError("discrete_energy misaligned with param_values")
-        if len(self.closed_energy) != n:
-            raise DomainError("closed_energy misaligned with param_values")
-        for key, col in self.extras.items():
-            if len(col) != n:
-                raise DomainError(f"scan extra {key!r} misaligned with param_values")
-        if n >= 2:
-            d = np.diff(self.param_values)
-            if not (np.all(d > 0) or np.all(d < 0)):
-                raise DomainError("param_values must be strictly monotone")
+        _column_arrays(self.columns)
 
     @property
     def columns(self) -> dict:
@@ -114,10 +104,6 @@ class SaddleReport:
     energy_minus: float
     energy_center: float
     metadata: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if not self.epsilon > 0:
-            raise DomainError("probe epsilon must be positive")
 
 
 def comparison_sesquisoliton(state: GraphState):

@@ -55,16 +55,21 @@ def _symmetrized(values: np.ndarray) -> np.ndarray:
 _FAR_END_COUPLING = 2.0
 
 
+def _vertex_coupling(spec: GraphSpec) -> float:
+    """2/(E h^2), the vertex row's weight per edge (bands[0, 1] / E rounds otherwise)."""
+    h = spec.spacing
+    return 2.0 / (spec.edge_count * (h * h))
+
+
 def _laplacian_values(values: np.ndarray, spec: GraphSpec) -> np.ndarray:
     h = spec.spacing
     h2 = h * h
-    E = spec.edge_count
     out = np.empty_like(values)
     out[:, 1:-1] = (values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:]) / h2
     # Kirchhoff vertex row: with continuity, the flux condition
     # sum_e psi_e'(0) = 0 closes the stencil as an average over edges.
     v = values[0, 0]
-    out[:, 0] = (2.0 / (E * h2)) * np.sum(values[:, 1] - v)
+    out[:, 0] = _vertex_coupling(spec) * np.sum(values[:, 1] - v)
     out[:, -1] = (_FAR_END_COUPLING * values[:, -2] - 2.0 * values[:, -1]) / h2
     return out
 
@@ -85,12 +90,6 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
     bands[2, :-1] = 1.0 / h2
     bands[2, -2] = _FAR_END_COUPLING / h2
     return bands
-
-
-def _vertex_coupling(spec: GraphSpec) -> float:
-    """2/(E h^2), the vertex row's weight per edge (bands[0, 1] / E rounds otherwise)."""
-    h = spec.spacing
-    return 2.0 / (spec.edge_count * (h * h))
 
 
 class _Arrowhead:

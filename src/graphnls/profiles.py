@@ -27,7 +27,7 @@ the sesquisoliton family with m1 -> 0 realizes a minimizing sequence.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -85,25 +85,18 @@ def solve_offset(m1: float, m2: float) -> float:
 
 @dataclass(frozen=True)
 class SesquiParams:
-    """Masses and vertex offset of a sesquisoliton trial state."""
+    """Masses of a sesquisoliton trial state and the vertex offset they fix."""
 
     m1: float
     m2: float
-    offset: float
+    offset: float = field(init=False)
 
     def __post_init__(self):
-        if not (self.m1 > 0 and self.m2 > 0):
-            raise DomainError(f"masses must be positive, got m1={self.m1}, m2={self.m2}")
-        expected = solve_offset(self.m1, self.m2)
-        if not math.isclose(self.offset, expected, rel_tol=1e-10, abs_tol=1e-12):
-            raise DomainError(
-                f"offset {self.offset} does not match the masses "
-                f"(continuity needs {expected})"
-            )
+        object.__setattr__(self, "offset", solve_offset(self.m1, self.m2))
 
     @classmethod
     def solve(cls, m1: float, m2: float) -> "SesquiParams":
-        return cls(m1=m1, m2=m2, offset=solve_offset(m1, m2))
+        return cls(m1, m2)
 
     @property
     def total_mass(self) -> float:

@@ -281,6 +281,7 @@ class TestBadInput:
         ["profile", "sesqui", "--m1", "1e-308", "--m2", "3.4"],
         ["profile", "sesqui", "--m1", "1e-12", "--m2", "3.4"],
         ["scan", "minseq", "--m1", "1e-30"],
+        ["profile", "stationary", "--out", ""],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed
@@ -291,6 +292,12 @@ class TestBadInput:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert not any(tmp_path.iterdir())
+
+    def test_out_naming_a_file_is_a_usage_error(self, run, tmp_path):
+        (tmp_path / "taken").write_text("")
+        r = run(["profile", "stationary", "--out", "taken", "--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
 
     def test_overflowing_dilation_is_named(self, run, tmp_path):
         r = run(["scan", "dilation", "--lambda", "1,1e300", "--points", "64"], tmp_path)
@@ -345,6 +352,22 @@ class TestEntryPoint:
                  for alias in node.names]
         assert len({demo for demo, _ in names}) == len(demos) > 0
         assert [n for n in names if not hasattr(graphnls, n[1])] == []
+
+    def test_package_modules_use_their_imports(self):
+        # the project requires no linter, so this catches an import that a
+        # deleted use left behind
+        unused = []
+        for module in sorted(Path(graphnls.__file__).parent.glob("*.py")):
+            if module.name == "__init__.py":
+                continue
+            tree = ast.parse(module.read_text())
+            used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+            unused += [(module.name, alias.name) for node in ast.walk(tree)
+                       if isinstance(node, (ast.Import, ast.ImportFrom))
+                       and getattr(node, "module", None) != "__future__"
+                       for alias in node.names
+                       if (alias.asname or alias.name).split(".")[0] not in used]
+        assert unused == []
 
 
 class TestConfigPlumbing:

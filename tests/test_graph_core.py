@@ -11,8 +11,10 @@ from graphnls import (
     CONTINUITY_TOL,
     apply_laplacian,
     ContinuityError,
+    CurveScan,
     DegenerateStateError,
     DomainError,
+    FlowTrace,
     GraphSpec,
     GraphState,
     edge_masses,
@@ -165,6 +167,18 @@ class TestSerialization:
             write_csv(io.StringIO(), {"t": [0.0, 1.0], "energy": [-1.0]})
         with pytest.raises(DomainError):
             write_csv(io.StringIO(), {"values": np.zeros((2, 2))})
+
+    @pytest.mark.parametrize("record", [
+        lambda extras: FlowTrace(np.arange(3.0), np.ones(3), -np.ones(3), np.zeros(3),
+                                 np.ones((3, 3)), extras=extras),
+        lambda extras: CurveScan("m1", np.arange(3.0), -np.ones(3), -np.ones(3),
+                                 extras=extras),
+    ], ids=["FlowTrace", "CurveScan"])
+    def test_records_reject_ragged_columns(self, record):
+        # a trace and a scan hold their columns to the rule every written table obeys
+        record({"extra": np.zeros(3)})
+        with pytest.raises(DomainError):
+            record({"extra": np.zeros(2)})
 
     def test_string_column_written_verbatim(self):
         buf = io.StringIO()

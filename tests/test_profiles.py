@@ -113,11 +113,16 @@ class TestOffset:
 
 
 class TestSesquisoliton:
-    def test_params_require_consistent_offset(self):
-        with pytest.raises(DomainError):
-            SesquiParams(m1=1.0, m2=5.0, offset=0.1)
+    def test_params_derive_offset(self):
+        # vertex continuity fixes the offset from the masses: no input sets it
         p = SesquiParams.solve(1.0, 5.0)
+        assert SesquiParams(1.0, 5.0) == p
+        assert p.offset == solve_offset(1.0, 5.0)
         assert p.total_mass == 6.0
+        with pytest.raises(TypeError):
+            SesquiParams(m1=1.0, m2=5.0, offset=0.1)
+        with pytest.raises(OffsetError):
+            SesquiParams(1.0, 1.0)
 
     def test_continuous_at_vertex(self):
         spec = GraphSpec(3, 30.0, 1024)
