@@ -259,20 +259,29 @@ class _Battery:
 
     def criterion_9(self):
         stationary_value = -(self.M ** 3) / 216.0
+        escaped = stationary_value - 0.05
         floor = energy_infimum(self.M) - FLOOR_SLACK
         spec = self.grid(self.spec)
-        # the shift start and the gather start (edges 1 and 2 kept equal)
-        # both escape toward the infimum
-        escapes = (("escape", shift_perturbation), ("gather_escape", gather_perturbation))
-        for name, perturbation in escapes:
-            start = perturbation(self.M, spec, fraction=0.01)
+
+        def descend(perturbation, fraction):
+            """Energies of the escape flow from this start, and the first
+            iteration below `escaped` (nan if none)."""
+            start = perturbation(self.M, spec, fraction=fraction)
             _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=40000,
                                                 grad_tol=1e-6)
             energies = np.asarray(trace.energies)
             for e in energies:
                 self.note_energy(e)
-            self.check_below(f"{name}_final_energy", 9, float(energies[-1]),
-                             stationary_value - 0.05)
+            below = np.flatnonzero(energies < escaped)
+            return energies, float(trace.times[below[0]]) if below.size else math.nan
+
+        # the shift start and the gather start (edges 1 and 2 kept equal)
+        # both escape toward the infimum
+        escapes = (("escape", shift_perturbation), ("gather_escape", gather_perturbation))
+        crossings = {}
+        for name, perturbation in escapes:
+            energies, crossings[name] = descend(perturbation, 0.01)
+            self.check_below(f"{name}_final_energy", 9, float(energies[-1]), escaped)
             self.check_at_least(f"{name}_trace_floor", 9, energies.min(), floor)
 
         sym = dilation_family(self.M, 1.01, spec)
@@ -282,6 +291,11 @@ class _Battery:
             self.note_energy(e)
         self.check_abs("symmetric_return", 9, float(trace2.energies[-1]),
                        stationary_value, 5e-4)
+        # the saddle is degenerate, so a start at fraction f leaves it on
+        # a 1/f clock: doubling f halves the escape time.  A nondegenerate
+        # saddle is left on a log(1/f) clock, a ratio of about 1.15
+        _, crossing = descend(shift_perturbation, 0.02)
+        self.check_range("escape_time_ratio", 9, crossings["escape"] / crossing, 1.7, 2.3)
 
     def criterion_10(self):
         points = min(256, self.spec.points_per_edge)

@@ -18,6 +18,7 @@ import json
 import math
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
@@ -116,6 +117,9 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
     if overrides:
         config = replace(config, **overrides)
     config.validate()
+    # made before the run, so an output that cannot be written fails fast
+    with _output_errors():
+        os.makedirs(config.out, exist_ok=True)
     return config
 
 
@@ -146,14 +150,20 @@ def _header(config: RunConfig) -> str:
             f"# grid: h={h:.17g}\n")
 
 
-def _open_out(config: RunConfig, name: str):
-    """The file name in the output directory, made if missing, opened for
-    writing; an output that cannot be opened is a DomainError."""
+@contextmanager
+def _output_errors():
+    """Turn an OSError from the output directory into a DomainError."""
     try:
-        os.makedirs(config.out, exist_ok=True)
-        return open(os.path.join(config.out, name), "w", encoding="utf-8")
+        yield
     except OSError as exc:
         raise DomainError(f"cannot write output: {exc}") from exc
+
+
+def _open_out(config: RunConfig, name: str):
+    """The file name in the output directory (made by _resolve_config),
+    opened for writing."""
+    with _output_errors():
+        return open(os.path.join(config.out, name), "w", encoding="utf-8")
 
 
 def _write(config: RunConfig, stem: str, columns, **fields) -> str:
@@ -390,7 +400,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--perturbation", default="shift:0.01",
                    help="kind[:fraction] with kind one of shift, deposit, "
                    "gather, dilation, none (default shift:0.01)")
-    p.add_argument("--step", type=float, default=0.1, help="initial step size")
+    p.add_argument("--step", type=float, default=0.1,
+                   help="initial step size; accepted steps grow to 10x")
     p.add_argument("--max-iters", dest="max_iters", type=int, default=40000)
     # the projected gradient falls to about 1e-3 (1.1e-3 from shift:0.01)
     # in the flat channel near the stationary state; a loose tolerance

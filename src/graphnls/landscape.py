@@ -397,10 +397,12 @@ def gradient_flow_fixed_mass(
     a run does not grow with the grid.  Backtracking: a trial step that
     does not lower the energy, or whose unprojected state overflows,
     halves s and is retried (never recorded); accepted steps grow s by
-    1.2 back toward the initial step.  Step underflow below 1e-12
-    raises StallError carrying the partial trace.  step must be finite
-    and positive, grad_tol finite and nonnegative; anything else is a
-    DomainError.
+    1.2, up to 10 * step, so step is the initial step and not the cap
+    (the preconditioned flow is stable well above it; a cap of 100 *
+    step oscillates where the flow returns to the degenerate saddle).
+    Step underflow below 1e-12 raises StallError carrying the partial
+    trace.  step must be finite and positive, grad_tol finite and
+    nonnegative; anything else is a DomainError.
 
     The flow stops when ||r|| drops to grad_tol ("converged"), when
     the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), or after
@@ -491,7 +493,7 @@ def gradient_flow_fixed_mass(
                         build_trace("stalled", s),
                     )
             current, e_current = trial, e_trial
-            s = min(s * 1.2, step)
+            s = min(s * 1.2, 10.0 * step)
             r, m, pg = record(it, current, e_current, edge_masses(current))
     if pg <= grad_tol:
         reason = "converged"

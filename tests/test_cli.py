@@ -126,7 +126,7 @@ class TestProfile:
 
 class TestFlow:
     def test_shift_descends_and_writes_summary(self, run, tmp_path):
-        r = run(["flow", "--perturbation", "shift:0.01", "--max-iters", "400",
+        r = run(["flow", "--perturbation", "shift:0.01", "--max-iters", "50",
                  "--grad-tol", "1e-9"] + FAST, tmp_path)
         assert r.returncode == 0
         summary = json.loads((tmp_path / "flow_summary.json").read_text())
@@ -135,9 +135,10 @@ class TestFlow:
         assert not summary["stalled"]
         assert (tmp_path / "flow_trace.csv").exists()
         assert summary["stop_reason"] == "max_iters"
-        assert summary["accepted_steps"] == summary["iterations"] == 400
+        assert summary["accepted_steps"] == summary["iterations"] == 50
         assert summary["rejected_steps"] >= 0
-        assert 0 < summary["final_step"] <= 0.1
+        # --step is the initial step; accepted steps grow up to 10x it
+        assert 0 < summary["final_step"] <= 10 * 0.1
 
     def test_gather_escapes_and_stops_near_the_infimum(self, run, tmp_path):
         r = run(["flow", "--perturbation", "gather:0.01"] + FAST, tmp_path)
@@ -298,6 +299,16 @@ class TestBadInput:
         r = run(["profile", "stationary", "--out", "taken", "--points", "64"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
+
+    def test_unwritable_out_fails_before_the_run(self, run, tmp_path):
+        # the battery prints each criterion's seconds as it goes, so
+        # none may show: the output is checked before the first one runs
+        (tmp_path / "taken").write_text("")
+        r = run(["verify", "--points", "64", "--t-final", "0.1", "--out", "taken"],
+                tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: ")
+        assert "criterion" not in r.stderr
 
     def test_overflowing_dilation_is_named(self, run, tmp_path):
         r = run(["scan", "dilation", "--lambda", "1,1e300", "--points", "64"], tmp_path)

@@ -209,6 +209,15 @@ class TestDescentFlow:
         assert np.all(np.diff(trace.energies) <= 1e-12)
         assert trace.mass_drift < 1e-12
 
+    def test_step_grows_past_the_initial_step_up_to_ten_times_it(self, coarse_spec):
+        # step is the initial step: accepted steps grow by 1.2 to 10 * step
+        start = shift_perturbation(M, coarse_spec, 0.01)
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=50,
+                                            grad_tol=1e-12)
+        assert trace.metadata["accepted_steps"] == 50
+        assert 0.1 < trace.metadata["final_step"] <= 1.0
+        assert np.all(np.diff(trace.energies) <= 0)
+
     def test_symmetric_start_returns_to_the_stationary_energy(self, coarse_spec):
         # moving mass from edge 0 equally onto edges 1 and 2: the flow
         # falls back onto the stationary state.  The 1<->2 symmetry is not
@@ -222,6 +231,17 @@ class TestDescentFlow:
         assert len(trace.times) < 3000
         assert trace.metadata["stop_reason"] == "converged"
         assert trace.extras["grad_norm"][-1] <= 1e-3
+
+    def test_deposit_start_returns_to_a_tight_tolerance(self, coarse_spec):
+        # next to the degenerate saddle the projected gradient decays
+        # slowly; with the step held at 0.1 this run took 29,264 steps,
+        # growing it to 10 * step takes 2,932
+        start = deposit_perturbation(M, coarse_spec, 0.01)
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=40000,
+                                            grad_tol=1e-6)
+        assert trace.metadata["stop_reason"] == "converged"
+        assert trace.metadata["accepted_steps"] < 5000
+        assert trace.extras["grad_norm"][-1] <= 1e-6
 
     def test_asymmetric_start_escapes(self, coarse_spec):
         # breaking the symmetry between edges 1 and 2 opens the descent
@@ -304,8 +324,8 @@ class TestDescentFlow:
 
     def test_escape_stops_near_the_infimum_in_a_grid_independent_count(self):
         # a 4x finer grid would take 16x the iterations of an explicit
-        # flow; this count converges like h^2 instead, reading 1887,
-        # 2069, 2128, 2144 and 2148 at N = 256, 512, ..., 4096
+        # flow; this count converges like h^2 instead, reading 206,
+        # 224, 231, 232 and 233 at N = 256, 512, ..., 4096
         infimum = energy_infimum(M)
         counts = []
         for points in (512, 2048):
