@@ -103,13 +103,23 @@ class TestConservation:
 
 class TestMidpointIteration:
     def test_extrapolated_start_saves_a_solve(self, newton_512):
-        # every step after the first starts from 1.5 psi_n - 0.5 psi_{n-1},
-        # one iteration closer than psi_n (4 per step from psi_n)
+        # steps 2-3 start from 1.5 psi_n - 0.5 psi_{n-1} (3 solves) and
+        # later ones from the quadratic guess (2 solves); from psi_n it takes 4
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
         iters = trace.extras["fixed_point_iters"]
         assert iters[0] == 0
-        assert iters[2:].mean() <= 3.1
+        assert iters[2:].mean() <= 2.1
+
+    def test_standing_wave_takes_two_solves_per_step(self, newton_512):
+        st, _ = newton_512
+        _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
+        assert np.all(trace.extras["fixed_point_iters"][4:] == 2)
+
+    def test_sesquisoliton_takes_at_most_four_solves_per_step(self, newton_512):
+        st = sesquisoliton(SesquiParams.solve(1.0, 5.0), newton_512[0].spec)
+        _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
+        assert trace.extras["fixed_point_iters"][4:].max() <= 4.0
 
     def test_iterations_add_up_across_rows(self, newton_512):
         st, _ = newton_512
@@ -125,16 +135,39 @@ class TestMidpointIteration:
         st, _ = newton_512
         if moving:
             st = sesquisoliton(SesquiParams.solve(1.0, 5.0), st.spec)
-        p, st = st, step_crank_nicolson(st, 1e-3)
+        past = [st.values]
+        for _ in range(3):
+            st = step_crank_nicolson(st, 1e-3)
+            past.insert(0, st.values)
         a = step_crank_nicolson(st, 1e-3)
-        b = step_crank_nicolson(st, 1e-3, previous=p)
+        b = step_crank_nicolson(st, 1e-3, start=1.5 * past[0] - past[2] + 0.5 * past[3])
         assert np.max(np.abs(a.values - b.values)) <= 1e-11
 
-    def test_previous_on_another_grid_rejected(self, newton_512, coarse_spec):
+    def test_start_on_another_grid_rejected(self, newton_512, coarse_spec):
         st, _ = newton_512
         other, _ = discrete_stationary_state(M, coarse_spec)
         with pytest.raises(DomainError):
-            step_crank_nicolson(st, 1e-3, previous=other)
+            step_crank_nicolson(st, 1e-3, start=other.values)
+
+    @pytest.mark.parametrize("dt", [np.nan, np.inf])
+    def test_nonfinite_dt_rejected(self, newton_512, dt):
+        with pytest.raises(DomainError, match="nonzero and finite"):
+            step_crank_nicolson(newton_512[0], dt)
+
+    def test_start_is_left_unchanged(self, newton_512):
+        st, _ = newton_512
+        start = 1.5 * step_crank_nicolson(st, 1e-3).values - 0.5 * st.values
+        kept = start.copy()
+        step_crank_nicolson(st, 1e-3, start=start)
+        assert start.flags.writeable and np.array_equal(start, kept)
+
+    def test_evolve_repeats_bit_for_bit(self, newton_512):
+        # the past states evolve extrapolates from must not share buffers
+        st = sesquisoliton(SesquiParams.solve(1.0, 5.0), newton_512[0].spec)
+        runs = [evolve(st, EvolutionConfig(dt=1e-3, t_final=0.02)) for _ in range(2)]
+        (a, ta), (b, tb) = runs
+        assert np.array_equal(a.values, b.values)
+        assert all(np.array_equal(ta.columns[k], tb.columns[k]) for k in ta.columns)
 
 
 class TestStructure:
