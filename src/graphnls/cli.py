@@ -256,23 +256,14 @@ def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
-def _parse_perturbation(text: str) -> tuple:
-    kind, _, frac = text.partition(":")
-    kind = kind.strip()
-    if kind not in ("shift", "deposit", "gather", "dilation", "none"):
-        raise DomainError(f"unknown perturbation kind: {kind!r}")
-    fraction = 0.01
-    if frac:
-        try:
-            fraction = float(frac)
-        except ValueError as exc:
-            raise DomainError(f"bad perturbation fraction: {frac!r}") from exc
-    return kind, fraction
-
-
 def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
-    kind, fraction = _parse_perturbation(args.perturbation)
+    kind, _, frac = args.perturbation.partition(":")
+    kind = kind.strip()
+    try:
+        fraction = float(frac) if frac else 0.01
+    except ValueError as exc:
+        raise DomainError(f"bad perturbation fraction: {frac!r}") from exc
     if kind == "none":
         # exact critical point of the discrete energy, so the flow stalls
         start, _ = discrete_stationary_state(config.mass, spec)
@@ -282,8 +273,10 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         start = deposit_perturbation(config.mass, spec, fraction)
     elif kind == "gather":
         start = gather_perturbation(config.mass, spec, fraction)
-    else:
+    elif kind == "dilation":
         start = dilation_family(config.mass, 1.0 + fraction, spec)
+    else:
+        raise DomainError(f"unknown perturbation kind: {kind!r}")
     try:
         _, trace = gradient_flow_fixed_mass(start, step=args.step,
                                             max_iters=args.max_iters,

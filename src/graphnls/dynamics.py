@@ -192,8 +192,8 @@ def step_crank_nicolson(
     read, and it moves the result only at the fixed-point tolerance,
     _FIXED_POINT_TOL.  The iterations reuse buffers made once per step.
 
-    Raises DomainError unless dt is nonzero and finite, and
-    StepFailureError when the fixed point does not converge or an
+    Raises DomainError for a zero or non-finite dt or a non-finite start,
+    and StepFailureError when the fixed point does not converge or an
     iterate overflows (the contraction factor scales with
     dt*max|Psi|^2, so a smaller dt is the usual remedy).
     """
@@ -236,6 +236,9 @@ def step_crank_nicolson(
                 "try a smaller dt",
                 0,
             )
+    # a non-finite start breaks the first iteration, so it ends here
+    if start is not None and not np.isfinite(start).all():
+        raise DomainError("start contains non-finite values")
     raise StepFailureError("midpoint iteration overflowed; try a smaller dt", 0)
 
 

@@ -103,7 +103,6 @@ class SaddleReport:
     energy_plus: float
     energy_minus: float
     energy_center: float
-    metadata: dict = field(default_factory=dict)
 
 
 def comparison_sesquisoliton(state: GraphState):
@@ -135,26 +134,24 @@ def comparison_sesquisoliton(state: GraphState):
     return perm, params, sesquisoliton(params, spec)
 
 
-def _m1_values(M: float, m1_values, descending: bool) -> np.ndarray:
-    """m1 values of a sesquisoliton scan, checked to be strictly
-    monotone (decreasing or ascending) within (0, M/3]."""
-    if not M > 0:
-        raise DomainError(f"total mass must be positive, got {M}")
-    m1s = np.asarray(m1_values, dtype=float)
-    if m1s.ndim != 1 or len(m1s) == 0:
-        raise DomainError("m1_values must be a nonempty 1-D sequence")
-    steps = np.diff(m1s)
+def _param_values(name: str, values, descending: bool = False) -> np.ndarray:
+    """A scan's parameter values, checked to be a nonempty 1-D strictly
+    monotone sequence (decreasing or ascending).  The family that builds
+    each state checks the values themselves."""
+    vals = np.asarray(values, dtype=float)
+    if vals.ndim != 1 or len(vals) == 0:
+        raise DomainError(f"{name} must be a nonempty 1-D sequence")
+    steps = np.diff(vals)
     if not np.all(-steps > 0 if descending else steps > 0):
         order = "decreasing" if descending else "ascending"
-        raise DomainError(f"m1_values must be strictly {order}")
-    if not (m1s.min() > 0 and m1s.max() <= (M / 3.0) * (1.0 + 1e-12)):
-        raise DomainError(f"m1 values must lie in (0, {M / 3.0}]")
-    return m1s
+        raise DomainError(f"{name} must be strictly {order}")
+    return vals
 
 
 def _sesqui_energies(M: float, m1s: np.ndarray, spec: GraphSpec):
     """Closed-form energies, offsets and discrete energies of the
-    sesquisolitons with first-edge masses m1s."""
+    sesquisolitons with first-edge masses m1s; the closed form rejects
+    an m1 outside (0, M/3] before any state is built."""
     closed = np.array([energy_sesqui_closed(m1, M) for m1 in m1s])
     offsets = np.empty_like(m1s)
     discrete = np.empty_like(m1s)
@@ -172,7 +169,7 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     energies are checked to be strictly increasing up to a 1e-8 slack
     between neighbors, echoing the monotonicity of the closed form.
     """
-    m1s = _m1_values(M, m1_values, descending=False)
+    m1s = _param_values("m1_values", m1_values)
     closed, offsets, discrete = _sesqui_energies(M, m1s, spec)
     if len(discrete) >= 2 and not np.all(np.diff(discrete) > -1e-8):
         raise GraphNLSError(
@@ -196,15 +193,7 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
     parabola with its minimum at lam = 1, where the family crosses the
     stationary state.  The scan must include lam = 1.
     """
-    if not M > 0:
-        raise DomainError(f"total mass must be positive, got {M}")
-    lams = np.asarray(lambda_values, dtype=float)
-    if lams.ndim != 1 or len(lams) == 0:
-        raise DomainError("lambda_values must be a nonempty 1-D sequence")
-    if not np.all(np.isfinite(lams) & (lams > 0)):
-        raise DomainError("lambda values must be positive and finite")
-    if len(lams) >= 2 and not np.all(np.diff(lams) > 0):
-        raise DomainError("lambda values must be strictly ascending")
+    lams = _param_values("lambda_values", lambda_values)
     if not np.any(np.isclose(lams, 1.0, rtol=0.0, atol=1e-9)):
         raise DomainError("the dilation scan must include lambda = 1")
     discrete = np.empty_like(lams)
@@ -238,7 +227,7 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     to stay at least 5 widths (width = 4/m2) from the far boundary,
     otherwise a TruncationError reports the admissible m1 floor.
     """
-    m1s = _m1_values(M, m1_values, descending=True)
+    m1s = _param_values("m1_values", m1_values, descending=True)
     L = spec.truncation_length
     for m1 in m1s:
         m2 = M - m1
@@ -282,8 +271,7 @@ def hessian_probe(
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
-    w = edge_weights(center.spec)
-    if float((w * np.abs(direction.values) ** 2).sum()) == 0.0:
+    if mass(direction) == 0.0:
         raise DomainError("probe direction must be nonzero")
     M0 = mass(center)
     if not M0 > 0:
@@ -308,7 +296,6 @@ def hessian_probe(
         energy_plus=probed[0],
         energy_minus=probed[1],
         energy_center=e_center,
-        metadata=_grid_metadata(M0, center.spec),
     )
 
 
@@ -354,15 +341,12 @@ def sesqui_curve_second_derivative(M: float, m1: float) -> float:
     slightly past M/3 uses the polynomial itself, not a trial state.
     At m1 = M/3 the value is -M/8.
     """
-    if not M > 0:
-        raise DomainError(f"total mass must be positive, got {M}")
-    if not 0 < m1 <= (M / 3.0) * (1.0 + 1e-12):
-        raise DomainError(f"m1={m1} outside (0, M/3] with M={M}")
+    center = energy_sesqui_closed(m1, M)  # rejects an m1 outside (0, M/3]
     delta = _CURVATURE_DELTA
     return (
         _sesqui_energy_poly(m1 + delta, M)
         + _sesqui_energy_poly(m1 - delta, M)
-        - 2.0 * _sesqui_energy_poly(m1, M)
+        - 2.0 * center
     ) / delta ** 2
 
 

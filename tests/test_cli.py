@@ -283,6 +283,15 @@ class TestBadInput:
         ["profile", "sesqui", "--m1", "1e-12", "--m2", "3.4"],
         ["scan", "minseq", "--m1", "1e-30"],
         ["profile", "stationary", "--out", ""],
+        # each scan value is checked by the family that builds its state
+        ["scan", "dilation", "--lambda=-1,1"],
+        ["scan", "dilation", "--lambda", "nan,1"],
+        ["scan", "dilation", "--lambda", "0.5,0.8"],
+        ["scan", "sesqui", "--m1", "3"],
+        ["scan", "sesqui", "--m1", ","],
+        ["scan", "minseq", "--m1", "0.5,1"],
+        ["scan", "minseq", "--m1", "3"],
+        ["flow", "--perturbation", "wiggle:x"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed

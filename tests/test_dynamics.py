@@ -149,6 +149,14 @@ class TestMidpointIteration:
         with pytest.raises(DomainError):
             step_crank_nicolson(st, 1e-3, start=other.values)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_nonfinite_start_rejected(self, newton_512, bad):
+        st, _ = newton_512
+        start = st.values.copy()
+        start[1, 7] = bad
+        with pytest.raises(DomainError, match="non-finite"):
+            step_crank_nicolson(st, 1e-3, start=start)
+
     @pytest.mark.parametrize("dt", [np.nan, np.inf])
     def test_nonfinite_dt_rejected(self, newton_512, dt):
         with pytest.raises(DomainError, match="nonzero and finite"):
