@@ -267,10 +267,13 @@ def hessian_probe(
     the result estimates the curvature of the energy restricted to the
     constraint sphere.  Raises ProbeError when the rescaling moves the
     mass by more than 10%, which is where the quadratic reading of the
-    result stops being meaningful.
+    result stops being meaningful.  Raises DomainError for a direction on
+    another grid.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
+    if direction.spec != center.spec:
+        raise DomainError("probe direction and center live on different grids")
     if mass(direction) == 0.0:
         raise DomainError("probe direction must be nonzero")
     M0 = mass(center)

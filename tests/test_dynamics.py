@@ -103,18 +103,28 @@ class TestConservation:
 
 class TestMidpointIteration:
     def test_extrapolated_start_saves_a_solve(self, newton_512):
-        # steps 2-3 start from 1.5 psi_n - 0.5 psi_{n-1} (3 solves) and
-        # later ones from the quadratic guess (2 solves); from psi_n it takes 4
+        # steps 2-3 start from 1.5 psi_n - 0.5 psi_{n-1} (3 solves), steps
+        # 4-5 from the quadratic guess (2 solves) and later ones from the
+        # degree-4 guess (1 solve); from psi_n it takes 4
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
         iters = trace.extras["fixed_point_iters"]
         assert iters[0] == 0
-        assert iters[2:].mean() <= 2.1
+        assert iters[6:].mean() <= 1.1
 
-    def test_standing_wave_takes_two_solves_per_step(self, newton_512):
+    def test_standing_wave_takes_one_solve_per_step(self, newton_512):
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
-        assert np.all(trace.extras["fixed_point_iters"][4:] == 2)
+        assert np.all(trace.extras["fixed_point_iters"][6:] == 1)
+
+    @pytest.mark.parametrize("dt", [5e-4, 2e-3])
+    def test_degree_four_start_keeps_its_margin_across_dt(self, newton_512, dt):
+        # the degree-4 start misses the midpoint by ~1e-14, 30x or more
+        # inside the stop threshold, so no dt around the default 1e-3
+        # (the test above) needs a second solve
+        st, _ = newton_512
+        _, trace = evolve(st, EvolutionConfig(dt=dt, t_final=0.05))
+        assert np.all(trace.extras["fixed_point_iters"][6:] == 1)
 
     def test_sesquisoliton_takes_at_most_four_solves_per_step(self, newton_512):
         st = sesquisoliton(SesquiParams.solve(1.0, 5.0), newton_512[0].spec)
@@ -130,17 +140,25 @@ class TestMidpointIteration:
         assert np.array_equal(tenth.extras["fixed_point_iters"],
                               np.concatenate([[0], per_step[1:].reshape(-1, 10).sum(axis=1)]))
 
-    @pytest.mark.parametrize("moving", [False, True], ids=["standing", "sesqui"])
-    def test_start_moves_the_step_only_at_the_tolerance(self, newton_512, moving):
+    # the start's weights on the latest states, newest first: quadratic
+    # from three earlier steps, degree 4 from five
+    @pytest.mark.parametrize("moving,coefficients", [
+        (False, (1.5, 0.0, -1.0, 0.5)),
+        (True, (1.5, 0.0, -1.0, 0.5)),
+        (False, (2.5, -2.5, 0.0, 2.5, -2.0, 0.5)),
+        (True, (2.5, -2.5, 0.0, 2.5, -2.0, 0.5)),
+    ], ids=["standing", "sesqui", "standing-degree4", "sesqui-degree4"])
+    def test_start_moves_the_step_only_at_the_tolerance(self, newton_512, moving,
+                                                        coefficients):
         st, _ = newton_512
         if moving:
             st = sesquisoliton(SesquiParams.solve(1.0, 5.0), st.spec)
         past = [st.values]
-        for _ in range(3):
+        for _ in range(len(coefficients) - 1):
             st = step_crank_nicolson(st, 1e-3)
             past.insert(0, st.values)
         a = step_crank_nicolson(st, 1e-3)
-        b = step_crank_nicolson(st, 1e-3, start=1.5 * past[0] - past[2] + 0.5 * past[3])
+        b = step_crank_nicolson(st, 1e-3, start=sum(c * p for c, p in zip(coefficients, past)))
         assert np.max(np.abs(a.values - b.values)) <= 1e-11
 
     def test_start_on_another_grid_rejected(self, newton_512, coarse_spec):

@@ -126,6 +126,15 @@ class TestProbes:
             zero = GraphState(center.spec, np.zeros_like(center.values))
             hessian_probe(center, zero, 1e-2, "zero")
 
+    @pytest.mark.parametrize("length,points", [(20.0, 512), (30.0, 256)])
+    def test_probe_rejects_a_direction_on_another_grid(self, length, points):
+        # same point count on another length used to give a bogus +2.768,
+        # another point count an untyped numpy broadcast ValueError
+        center = stationary_state(M, GraphSpec(3, 30.0, 512))[0]
+        d = dilation_tangent(M, GraphSpec(3, length, points))
+        with pytest.raises(DomainError, match="different grids"):
+            hessian_probe(center, d, 1e-2, "dilation")
+
     def test_report_row_is_reproducible(self, center):
         d = dilation_tangent(M, center.spec)
         a = hessian_probe(center, d, 1e-2, "dilation")
