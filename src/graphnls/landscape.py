@@ -26,7 +26,7 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+import scipy.linalg
 
 from .errors import (
     DomainError,
@@ -505,6 +505,7 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gra
     if spec.edge_count != 3:
         raise DomainError("shift perturbation is defined on the 3-edge star")
     _require_fraction(fraction)
+    _require_start_mass(M, spec)
     m = M / spec.edge_count
     # a shift eta moves m*tanh(m*eta/2) of mass onto the receiving edge
     eta = (2.0 / m) * math.atanh(fraction * M / m)
@@ -548,6 +549,7 @@ def gather_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gr
 def _edge0_transfer(M: float, spec: GraphSpec, moved: float) -> GraphState:
     """Stationary state with mass `moved` taken off edge 0 (put onto it
     when negative), split evenly over the other edges."""
+    _require_start_mass(M, spec)
     state, _ = stationary_state(M, spec)
     edge0 = M / spec.edge_count
     rest = spec.edge_count - 1
@@ -563,16 +565,53 @@ def _require_fraction(fraction: float) -> None:
         raise DomainError("fraction must lie in (0, 1/3)")
 
 
+def _require_start_mass(M: float, spec: GraphSpec) -> None:
+    """DomainError when a flow start's weighted density, about its peak
+    |psi|^2 = (M/3)^2/2 times the spacing, is below the normal floats:
+    its mass would round to 0, or lose digits, before rescale_mass."""
+    m = float(M) / 3.0
+    if m * m / 2.0 * spec.spacing < np.finfo(float).tiny:
+        raise DomainError(f"mass {M:g} is too small: the start's |psi|^2 underflows")
+
+
 @functools.lru_cache(maxsize=8)
 def _spline_basis(spec: GraphSpec) -> np.ndarray:
     """Not-a-knot splines through the unit controls, sampled on the grid:
     row k of the (7, N) array is the spline of control k.  A spline on
     fixed nodes is linear in its controls, and the last two controls of a
-    random state are zero.  Built once per grid and shared, so read-only.
+    random state are zero.  The node slopes come from one tridiagonal
+    solve and each piece is a cubic power sum, in the same floating-point
+    operations as scipy's CubicSpline, so the basis equals it bit for bit.
+    Built once per grid and shared, so read-only.
     """
-    nodes = np.linspace(0.0, spec.truncation_length, _CONTROL_POINTS)
-    controls = np.eye(_CONTROL_POINTS)[:, :_LIVE_CONTROLS]
-    basis = CubicSpline(nodes, controls)(spec.coordinates()).T.copy()
+    x = np.linspace(0.0, spec.truncation_length, _CONTROL_POINTS)
+    y = np.eye(_CONTROL_POINTS)[:, :_LIVE_CONTROLS]
+    dx = np.diff(x)
+    dxr = dx[:, None]
+    dydx = np.diff(y, axis=0) / dxr
+    # the slope system in solve_banded layout; its first and last rows
+    # are the not-a-knot conditions
+    ab = np.zeros((3, _CONTROL_POINTS))
+    ab[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
+    ab[0, 2:] = dx[:-1]
+    ab[2, :-2] = dx[1:]
+    b = np.empty_like(y)
+    b[1:-1] = 3 * (dxr[1:] * dydx[:-1] + dxr[:-1] * dydx[1:])
+    d = x[2] - x[0]
+    ab[1, 0], ab[0, 1] = dx[1], d
+    b[0] = ((dxr[0] + 2 * d) * dxr[1] * dydx[0] + dxr[0] ** 2 * dydx[1]) / d
+    d = x[-1] - x[-3]
+    ab[1, -1], ab[2, -2] = dx[-2], d
+    b[-1] = (dxr[-1] ** 2 * dydx[-2] + (2 * d + dxr[-1]) * dxr[-2] * dydx[-1]) / d
+    s = scipy.linalg.solve_banded((1, 1), ab, b, overwrite_ab=True,
+                                  overwrite_b=True, check_finite=False)
+    t = (s[:-1] + s[1:] - 2 * dydx) / dxr
+    c2, c3 = (dydx - s[:-1]) / dxr - t, t / dxr
+    coordinates = spec.coordinates()
+    piece = np.clip(np.searchsorted(x, coordinates, "right") - 1, 0, _CONTROL_POINTS - 2)
+    z = (coordinates - x[piece])[:, None]
+    z2 = z * z
+    basis = (y[piece] + s[piece] * z + c2[piece] * z2 + c3[piece] * (z2 * z)).T.copy()
     basis.setflags(write=False)
     return basis
 

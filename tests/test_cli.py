@@ -49,12 +49,17 @@ def run(capsys, monkeypatch):
     return _run
 
 
-def run_child(args, cwd):
+def child_env():
+    """os.environ with PACKAGE_ROOT first on PYTHONPATH."""
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in [PACKAGE_ROOT, env.get("PYTHONPATH")] if p)
+    return env
+
+
+def run_child(args, cwd):
     r = subprocess.run([sys.executable, "-m", "graphnls.cli"] + args, cwd=cwd,
-                       env=env, capture_output=True, text=True)
+                       env=child_env(), capture_output=True, text=True)
     if r.returncode != 0 and "No module named 'graphnls" in r.stderr:
         pytest.fail(f"the CLI child could not import graphnls:\n{r.stderr}")
     return r
@@ -345,6 +350,18 @@ class TestBadInput:
         assert r.returncode == 0
         assert r.stderr == ""
 
+    @pytest.mark.parametrize("kind", ["shift", "deposit", "gather"])
+    @pytest.mark.parametrize("mass", ["1e-170", "1e-300"])
+    def test_tiny_flow_mass_is_named(self, run, tmp_path, kind, mass):
+        # the start's |psi|^2 underflows, so no rescale can give it the mass
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            r = run(["flow", "--mass", mass, "--perturbation", f"{kind}:0.01",
+                     "--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith(f"error: mass {mass} is too small")
+        assert not any(tmp_path.iterdir())
+
     def test_edges_flag_is_unrecognized(self, run, tmp_path):
         # the star has three edges; there is no --edges flag or key
         r = run(["verify", "--edges", "4", "--points", "64"], tmp_path)
@@ -362,6 +379,16 @@ class TestEntryPoint:
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
         assert "Traceback" not in r.stderr
+
+    def test_import_loads_no_interpolate_or_optimize(self, tmp_path):
+        # scipy.interpolate brings scipy.optimize and ~270 modules in all:
+        # ~0.3 s and ~23 MiB in every process, for nothing the package uses
+        code = ("import sys, graphnls; print(*(m for m in sys.modules if "
+                "m.startswith(('scipy.interpolate', 'scipy.optimize'))))")
+        r = subprocess.run([sys.executable, "-c", code], cwd=tmp_path,
+                           env=child_env(), capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stdout.split() == []
 
     def test_demo_imports_resolve(self):
         # the demos take seconds each and do not run here; their imports do

@@ -2,9 +2,10 @@
 
 Property tests over all of float64, NaN and the infinities included:
 a grid, a time-stepping configuration, a descent-flow call, a total
-mass and a sesquisoliton's masses are either valid (and then behave)
-or rejected up front with DomainError, never a ValueError, an
-OverflowError or a failure part-way through.
+mass (of the stationary state or of a flow start) and a sesquisoliton's
+masses are either valid (and then behave) or rejected up front with
+DomainError, never a ValueError, an OverflowError or a failure
+part-way through.
 """
 
 import math
@@ -12,6 +13,7 @@ import sys
 import warnings
 
 import numpy as np
+import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
@@ -21,7 +23,9 @@ from graphnls import (
     GraphSpec,
     SesquiParams,
     StallError,
+    deposit_perturbation,
     energy,
+    gather_perturbation,
     gradient_flow_fixed_mass,
     mass,
     sesquisoliton,
@@ -122,6 +126,31 @@ def test_mass_gives_a_finite_energy_or_a_domain_error(mass_value):
             return
         total = energy(state).total
     assert math.isfinite(total)
+
+
+@pytest.mark.parametrize("start", [shift_perturbation, deposit_perturbation,
+                                   gather_perturbation], ids=lambda f: f.__name__)
+@settings(deadline=None)
+@given(st.floats())
+@example(6.0)
+@example(1e-153)
+@example(1e-170)
+@example(1e-300)
+@example(5e-324)
+@example(1e70)
+@example(sys.float_info.max)
+def test_mass_gives_a_flow_start_or_a_domain_error(start, mass_value):
+    # what `graphnls flow --mass <mass_value> --perturbation <kind>:0.01
+    # --points 64` starts from
+    config = RunConfig(mass=mass_value, points=64)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            config.validate()
+            state = start(mass_value, config.spec(), 0.01)
+        except DomainError:
+            return
+    assert math.isclose(mass(state), mass_value, rel_tol=1e-12)
 
 
 @settings(deadline=None)

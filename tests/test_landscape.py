@@ -431,6 +431,14 @@ class TestSplineBasis:
             for row, ref in zip(st.values, _spline_edges(spec, seed)):
                 assert np.max(np.abs(row - ref)) <= 1e-14 * np.max(np.abs(ref))
 
+    @pytest.mark.parametrize("length", [5.0, 20.0, 30.0, 60.0])
+    @pytest.mark.parametrize("points", [64, 128, 384, 4096])
+    def test_basis_equals_cubic_spline_bit_for_bit(self, length, points):
+        spec = GraphSpec(3, length, points)
+        nodes = np.linspace(0.0, length, 9)
+        ref = CubicSpline(nodes, np.eye(9)[:, :7])(spec.coordinates()).T
+        assert np.array_equal(landscape._spline_basis(spec), ref)
+
     def test_vertex_is_shared_and_far_end_is_zero(self, coarse_spec, rng):
         for _ in range(10):
             vals = random_vertex_continuous_state(coarse_spec, rng).values
