@@ -85,4 +85,4 @@ from .landscape import (
     sesqui_tangent,
     shift_perturbation,
 )
-from .acceptance import CheckResult, all_passed, run_acceptance
+from .acceptance import CheckResult, all_passed

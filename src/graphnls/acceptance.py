@@ -78,14 +78,14 @@ def _halved(spec: GraphSpec) -> GraphSpec:
 
 
 class _Battery:
-    def __init__(self, mass_value, length, points, dt, t_final, seed):
-        if points < 8:
+    """The battery for a cli.RunConfig: its mass, grid, dt, t_final and seed."""
+
+    def __init__(self, config):
+        if config.points < 8:
             raise DomainError("battery needs at least 8 points per edge")
-        self.M = float(mass_value)
-        self.spec = GraphSpec(3, float(length), int(points))
-        self.dt = float(dt)
-        self.t_final = float(t_final)
-        self.seed = int(seed)
+        self.config = config
+        self.M = config.mass
+        self.spec = config.spec()
         self.results: list[CheckResult] = []
         self.min_energy = math.inf
         self.criteria: list[dict] = []  # number, wall seconds and grids of each
@@ -201,7 +201,7 @@ class _Battery:
 
     def criterion_5(self):
         spec = self.grid(self.spec)
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.config.seed)
         worst = -math.inf
         for _ in range(200):
             st = random_vertex_continuous_state(spec, rng, target_mass=self.M)
@@ -242,7 +242,8 @@ class _Battery:
     def criterion_8(self):
         st, _ = discrete_stationary_state(self.M, self.grid(self.spec))
         self.state_energy(st)
-        cfg = EvolutionConfig(dt=self.dt, t_final=self.t_final, observe_every=10)
+        cfg = EvolutionConfig(dt=self.config.dt, t_final=self.config.t_final,
+                              observe_every=10)
         final, trace = evolve(st, cfg)
         for e in trace.energies:
             self.note_energy(e)
@@ -252,8 +253,7 @@ class _Battery:
         self.check_at_most("standing_wave_modulus_drift", 8, mod_drift, 1e-6)
         self.check_at_most("standing_wave_mass_drift", 8, trace.mass_drift, 1e-10)
         self.check_at_most("standing_wave_energy_drift", 8, trace.energy_drift, 1e-6)
-        back, _ = evolve(final, EvolutionConfig(dt=-self.dt, t_final=self.t_final,
-                                                observe_every=10))
+        back, _ = evolve(final, replace(cfg, dt=-cfg.dt))
         rev = float(np.max(np.abs(back.values - st.values)))
         self.check_at_most("standing_wave_reversal", 8, rev, 1e-6)
 
@@ -300,7 +300,7 @@ class _Battery:
     def criterion_10(self):
         points = min(256, self.spec.points_per_edge)
         spec10 = self.grid(replace(self.spec, points_per_edge=points))
-        rng = np.random.default_rng(self.seed)
+        rng = np.random.default_rng(self.config.seed)
 
         worst_fd = 0.0
         worst_add = 0.0
@@ -332,7 +332,7 @@ class _Battery:
         self.check_at_most("laplacian_negative_semidefinite", 10, worst_pos, 1e-12)
 
         def artifacts():
-            rng2 = np.random.default_rng(self.seed)
+            rng2 = np.random.default_rng(self.config.seed)
             scan = scan_sesqui_curve(self.M, [0.5, 1.0, 1.5], spec10)
             st = random_vertex_continuous_state(spec10, rng2, target_mass=self.M)
             _, tr = gradient_flow_fixed_mass(st, step=0.1, max_iters=5, grad_tol=1e-12)
@@ -365,13 +365,6 @@ class _Battery:
             self.run_criterion(number)
         self.finish()
         return self.results
-
-
-def run_acceptance(mass_value: float = 6.0, length: float = 30.0, points: int = 4096,
-                   dt: float = 1e-3, t_final: float = 1.0, seed: int = 42,
-                   ) -> list[CheckResult]:
-    """Run the full battery; returns one CheckResult per named check."""
-    return _Battery(mass_value, length, points, dt, t_final, seed).run()
 
 
 def all_passed(results: list[CheckResult]) -> bool:

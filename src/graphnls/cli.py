@@ -19,7 +19,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -51,16 +51,18 @@ _DEFAULT_RANGES = {
 
 @dataclass(frozen=True)
 class RunConfig:
-    """Settings shared by every subcommand."""
+    """The default run: every setting, its default and its --help text.
+    Each subcommand registers the flags of the settings it reads."""
 
-    mass: float = 6.0
-    length: float = 30.0
-    points: int = 4096
-    dt: float = 1e-3
-    t_final: float = 1.0
-    seed: int = 42
-    out: str = "."
-    format: str = "csv"
+    mass: float = field(default=6.0, metadata={"help": "total mass M"})
+    length: float = field(default=30.0, metadata={"help": "edge truncation length"})
+    points: int = field(default=4096, metadata={"help": "grid points per edge"})
+    dt: float = field(default=1e-3, metadata={"help": "time step"})
+    t_final: float = field(default=1.0, metadata={"help": "final time"})
+    seed: int = field(default=42, metadata={"help": "random seed"})
+    out: str = field(default=".", metadata={
+        "help": "output directory; GRAPHNLS_OUT overrides the default"})
+    format: str = field(default="csv", metadata={"help": "table output format"})
 
     def spec(self) -> GraphSpec:
         return GraphSpec(3, self.length, self.points)
@@ -192,8 +194,7 @@ def _write_json(config: RunConfig, name: str, obj) -> str:
 
 
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
-    battery = _Battery(config.mass, config.length, config.points, config.dt,
-                       config.t_final, config.seed)
+    battery = _Battery(config)
     results = battery.run()
     ok = all_passed(results)
     report = {
@@ -236,20 +237,24 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     return 0
 
 
+def _tail_checked(state):
+    """state, after a stderr warning if it has not decayed by x = L."""
+    peak, tail = np.max(np.abs(state.values)), np.max(np.abs(state.values[:, -1]))
+    if tail > 1e-8 * peak:
+        print(f"warning: tail {tail:.3g} at x = L exceeds 1e-8 of peak {peak:.3g}; "
+              f"consider a larger --length", file=sys.stderr)
+    return state
+
+
 def _named_state(kind: str, config: RunConfig, args: argparse.Namespace):
     if kind == "stationary":
-        return stationary_state(config.mass, config.spec())[0]
-    return sesquisoliton(SesquiParams.solve(args.m1, args.m2), config.spec())
+        return _tail_checked(stationary_state(config.mass, config.spec())[0])
+    return _tail_checked(sesquisoliton(SesquiParams.solve(args.m1, args.m2), config.spec()))
 
 
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
     state = _named_state(args.kind, config, args)
-    peak = float(np.max(np.abs(state.values)))
-    tail = float(np.max(np.abs(state.values[:, -1])))
-    if tail > 1e-8 * peak:
-        print(f"warning: profile tail {tail:.3g} exceeds 1e-8 of peak; "
-              f"consider a larger --length", file=sys.stderr)
     path = _write(config, f"profile_{args.kind}", state_columns(state))
     print(f"{args.kind} profile ({spec.edge_count} edges x {spec.points_per_edge} "
           f"points): {path}")
@@ -278,7 +283,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     else:
         raise DomainError(f"unknown perturbation kind: {kind!r}")
     try:
-        _, trace = gradient_flow_fixed_mass(start, step=args.step,
+        _, trace = gradient_flow_fixed_mass(_tail_checked(start), step=args.step,
                                             max_iters=args.max_iters,
                                             grad_tol=args.grad_tol)
     except StallError as exc:
@@ -343,18 +348,16 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
 # -- argument plumbing ----------------------------------------------------
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--mass", type=float, help="total mass M (default 6)")
-    parser.add_argument("--length", type=float, help="edge truncation length (default 30)")
-    parser.add_argument("--points", type=int, help="grid points per edge (default 4096)")
-    parser.add_argument("--dt", type=float, help="time step (default 1e-3)")
-    parser.add_argument("--t-final", dest="t_final", type=float,
-                        help="final time (default 1)")
-    parser.add_argument("--seed", type=int, help="random seed (default 42)")
-    parser.add_argument("--out", help="output directory (default .; "
-                        "GRAPHNLS_OUT overrides the default)")
-    parser.add_argument("--format", choices=("csv", "json"),
-                        help="table output format (default csv)")
+def _add_common(parser: argparse.ArgumentParser, *settings: str) -> None:
+    """--mass, --length, --points, --out, --config and the given settings.
+    Type, help and the default the help shows come from RunConfig; each
+    flag itself defaults to None, so an unset flag keeps a config file's value."""
+    for f in fields(RunConfig):
+        if f.name in ("mass", "length", "points", "out", *settings):
+            parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
+                                type=_CASTS[f.name],
+                                choices=("csv", "json") if f.name == "format" else None,
+                                help=f"{f.metadata['help']} (default {f.default})")
     parser.add_argument("--config", help="flat key = value settings file")
 
 
@@ -368,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("verify", help="run the acceptance battery")
-    _add_common(p)
+    _add_common(p, "dt", "t_final", "seed")
     p.set_defaults(handler=cmd_verify)
 
     p = sub.add_parser("scan", help="tabulate an energy curve")
@@ -378,14 +381,14 @@ def build_parser() -> argparse.ArgumentParser:
                    f"minseq default {_DEFAULT_RANGES['minseq']})")
     p.add_argument("--lambda", dest="lam",
                    help=f"dilation factors (default {_DEFAULT_RANGES['dilation']})")
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("profile", help="sample a named profile to a table")
     p.add_argument("kind", choices=("stationary", "sesqui"))
     p.add_argument("--m1", type=float, default=1.0, help="sesqui first-edge mass")
     p.add_argument("--m2", type=float, default=4.0, help="sesqui remaining mass")
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(handler=cmd_profile)
 
     p = sub.add_parser("flow", help="fixed-mass gradient descent from a "
@@ -400,7 +403,7 @@ def build_parser() -> argparse.ArgumentParser:
     # in the flat channel near the stationary state; a loose tolerance
     # would stop the run there
     p.add_argument("--grad-tol", dest="grad_tol", type=float, default=1e-6)
-    _add_common(p)
+    _add_common(p, "format")
     p.set_defaults(handler=cmd_flow)
 
     p = sub.add_parser("evolve", help="Crank-Nicolson time evolution")
@@ -409,7 +412,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--m1", type=float, default=1.0, help="sesqui first-edge mass")
     p.add_argument("--m2", type=float, default=4.0, help="sesqui remaining mass")
     p.add_argument("--observe-every", dest="observe_every", type=int, default=10)
-    _add_common(p)
+    _add_common(p, "dt", "t_final", "format")
     p.set_defaults(handler=cmd_evolve)
 
     return parser

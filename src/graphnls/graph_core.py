@@ -34,9 +34,9 @@ CONTINUITY_TOL = 1e-8
 class GraphSpec:
     """Geometry of the truncated, discretized star graph."""
 
-    edge_count: int = 3
-    truncation_length: float = 30.0
-    points_per_edge: int = 4096
+    edge_count: int
+    truncation_length: float
+    points_per_edge: int
 
     def __post_init__(self):
         if self.edge_count < 2:

@@ -366,12 +366,8 @@ def _sobolev_direction(state: GraphState, r: np.ndarray, state_mass: float,
     return d
 
 
-def gradient_flow_fixed_mass(
-    state0: GraphState,
-    step: float = 0.1,
-    max_iters: int = 500,
-    grad_tol: float = 1e-3,
-):
+def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
+                             grad_tol: float):
     """Sobolev-preconditioned projected descent on the mass sphere.
 
     With r = grad E + best_omega * Psi, the projected gradient, each

@@ -178,7 +178,6 @@ def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
 class StationaryInfo:
     """Parameters of the symmetric stationary state at total mass M."""
 
-    total_mass: float
     omega: float
     energy: float
 
@@ -192,7 +191,7 @@ def stationary_state(M: float, spec: GraphSpec):
     """
     # the family rejects first a mass whose M ** 3 would overflow here
     state = dilation_family(M, 1.0, spec)
-    info = StationaryInfo(total_mass=M, omega=M * M / 36.0, energy=-(M ** 3) / 216.0)
+    info = StationaryInfo(omega=M * M / 36.0, energy=-(M ** 3) / 216.0)
     return state, info
 
 

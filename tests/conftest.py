@@ -4,7 +4,8 @@ import numpy as np
 import pytest
 
 from graphnls import GraphSpec
-from graphnls.acceptance import run_acceptance
+from graphnls.acceptance import _Battery
+from graphnls.cli import RunConfig
 
 _battery_results = None
 
@@ -14,7 +15,7 @@ def battery():
     """Full acceptance battery at the default configuration."""
     global _battery_results
     if _battery_results is None:
-        _battery_results = run_acceptance()
+        _battery_results = _Battery(RunConfig()).run()
     return _battery_results
 
 

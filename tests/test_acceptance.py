@@ -10,6 +10,7 @@ missed its window.
 import pytest
 
 from graphnls.acceptance import _Battery, all_passed
+from graphnls.cli import RunConfig
 
 
 def _assert_criterion(battery, criterion):
@@ -83,7 +84,7 @@ def test_battery_summary_counts(battery):
     (10, [(3, 30.0, 256)]),
 ])
 def test_criterion_reports_its_seconds_and_the_grids_it_built(criterion, grids):
-    battery = _Battery(6.0, 30.0, 512, 1e-3, 1.0, 42)
+    battery = _Battery(RunConfig(points=512))
     battery.run_criterion(criterion)
     (entry,) = battery.criteria
     assert entry["criterion"] == criterion

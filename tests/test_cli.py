@@ -241,6 +241,20 @@ class TestEvolve:
         assert r.returncode == 2
 
 
+@pytest.mark.parametrize("args", [
+    ["flow"],
+    ["evolve", "--t-final", "0.02"],
+], ids="_".join)
+def test_start_that_does_not_fit_warns(run, tmp_path, args):
+    # at M = 0.1 the soliton (width ~6/M) does not fit on L = 30: the
+    # flow stops after 0 iterations below the infimum, so say why
+    r = run(args + ["--mass", "0.1", "--points", "64"], tmp_path)
+    assert r.returncode == 0
+    assert r.stderr.startswith("warning: tail ")
+    assert "consider a larger --length" in r.stderr
+    assert not any("warning" in p.read_text() for p in tmp_path.iterdir())
+
+
 class TestVerify:
     def test_coarse_grid_reports_honestly(self, run, tmp_path):
         r = run(["verify", "--points", "64", "--length", "20",
@@ -367,6 +381,20 @@ class TestBadInput:
         r = run(["verify", "--edges", "4", "--points", "64"], tmp_path)
         assert r.returncode == 2
         assert "unrecognized arguments: --edges 4" in r.stderr
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("args", [
+        ["verify", "--format", "json"],
+        *([*cmd, flag, value] for cmd in (["scan", "sesqui"], ["profile", "stationary"],
+                                          ["flow"])
+          for flag, value in (("--dt", "0.01"), ("--t-final", "2"), ("--seed", "3"))),
+        ["evolve", "--seed", "3"],
+    ], ids="_".join)
+    def test_unread_setting_is_unrecognized(self, run, tmp_path, args):
+        # each subcommand takes only the settings its run reads
+        r = run(args + ["--points", "64"], tmp_path)
+        assert r.returncode == 2
+        assert f"unrecognized arguments: {args[-2]} {args[-1]}" in r.stderr
         assert not any(tmp_path.iterdir())
 
 
