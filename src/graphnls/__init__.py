@@ -17,7 +17,6 @@ from .errors import (
     GraphNLSError,
     OffsetError,
     ProbeError,
-    StallError,
     StepFailureError,
     TruncationError,
     ZeroEdgeMassError,

@@ -22,7 +22,7 @@ from dataclasses import asdict, dataclass, replace
 import numpy as np
 
 from .dynamics import EvolutionConfig, discrete_stationary_state, evolve, measure_omega
-from .errors import DomainError
+from .errors import DomainError, GraphNLSError
 from .graph_core import (
     GraphSpec,
     GraphState,
@@ -86,6 +86,10 @@ class _Battery:
         self.config = config
         self.M = config.mass
         self.spec = config.spec()
+        # criterion 8's run, checked here so a time grid it cannot use
+        # fails before the first criterion
+        self.evolution = EvolutionConfig(dt=config.dt, t_final=config.t_final,
+                                         observe_every=10).require_phase_fit()
         self.results: list[CheckResult] = []
         self.min_energy = math.inf
         self.criteria: list[dict] = []  # number, wall seconds and grids of each
@@ -105,6 +109,16 @@ class _Battery:
 
     def state_energy(self, state: GraphState) -> float:
         return self.note_energy(energy(state).total)
+
+    def flow(self, start: GraphState, max_iters: int, grad_tol: float):
+        """The trace of the gradient flow from start at step 0.1, its
+        lowest energy noted; a stall is an error, so it fails the criterion."""
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=max_iters,
+                                            grad_tol=grad_tol)
+        if trace.metadata["stop_reason"] == "stalled":
+            raise GraphNLSError("gradient flow stalled: no descent step above 1e-12")
+        self.note_energy(trace.energies.min())
+        return trace
 
     def check_rel(self, name, criterion, observed, target, rel_tol):
         err = abs(observed - target) / abs(target)
@@ -158,7 +172,7 @@ class _Battery:
             # the half-line energy and the vertex trapezoid weight is
             # exact for the doubled profile
             prof = half_soliton(m, spec2)
-            st = GraphState.from_edges(spec2, [prof, prof])
+            st = GraphState(spec2, [prof, prof])
             return self.state_energy(st) / 2.0
 
         spec2 = self.grid(replace(self.spec, edge_count=2))
@@ -174,8 +188,7 @@ class _Battery:
         target = -(m ** 3) / 96.0
         spec2 = self.grid(replace(self.spec, edge_count=2))
         x = spec2.coordinates()
-        st = GraphState.from_edges(
-            spec2, [line_soliton(m, 0.0, x), line_soliton(m, 0.0, -x)])
+        st = GraphState(spec2, [line_soliton(m, 0.0, x), line_soliton(m, 0.0, -x)])
         self.check_rel("line_soliton_energy", 2, self.state_energy(st), target, 5e-4)
 
     def criterion_3(self):
@@ -242,9 +255,7 @@ class _Battery:
     def criterion_8(self):
         st, _ = discrete_stationary_state(self.M, self.grid(self.spec))
         self.state_energy(st)
-        cfg = EvolutionConfig(dt=self.config.dt, t_final=self.config.t_final,
-                              observe_every=10)
-        final, trace = evolve(st, cfg)
+        final, trace = evolve(st, self.evolution)
         for e in trace.energies:
             self.note_energy(e)
         omega_target = (self.M ** 2) / 36.0
@@ -253,7 +264,7 @@ class _Battery:
         self.check_at_most("standing_wave_modulus_drift", 8, mod_drift, 1e-6)
         self.check_at_most("standing_wave_mass_drift", 8, trace.mass_drift, 1e-10)
         self.check_at_most("standing_wave_energy_drift", 8, trace.energy_drift, 1e-6)
-        back, _ = evolve(final, replace(cfg, dt=-cfg.dt))
+        back, _ = evolve(final, replace(self.evolution, dt=-self.evolution.dt))
         rev = float(np.max(np.abs(back.values - st.values)))
         self.check_at_most("standing_wave_reversal", 8, rev, 1e-6)
 
@@ -266,14 +277,10 @@ class _Battery:
         def descend(perturbation, fraction):
             """Energies of the escape flow from this start, and the first
             iteration below `escaped` (nan if none)."""
-            start = perturbation(self.M, spec, fraction=fraction)
-            _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=40000,
-                                                grad_tol=1e-6)
-            energies = np.asarray(trace.energies)
-            for e in energies:
-                self.note_energy(e)
-            below = np.flatnonzero(energies < escaped)
-            return energies, float(trace.times[below[0]]) if below.size else math.nan
+            trace = self.flow(perturbation(self.M, spec, fraction=fraction),
+                              max_iters=40000, grad_tol=1e-6)
+            below = np.flatnonzero(trace.energies < escaped)
+            return trace.energies, float(trace.times[below[0]]) if below.size else math.nan
 
         # the shift start and the gather start (edges 1 and 2 kept equal)
         # both escape toward the infimum
@@ -284,11 +291,8 @@ class _Battery:
             self.check_below(f"{name}_final_energy", 9, float(energies[-1]), escaped)
             self.check_at_least(f"{name}_trace_floor", 9, energies.min(), floor)
 
-        sym = dilation_family(self.M, 1.01, spec)
-        _, trace2 = gradient_flow_fixed_mass(sym, step=0.1, max_iters=500,
-                                             grad_tol=1e-3)
-        for e in trace2.energies:
-            self.note_energy(e)
+        trace2 = self.flow(dilation_family(self.M, 1.01, spec), max_iters=500,
+                           grad_tol=1e-3)
         self.check_abs("symmetric_return", 9, float(trace2.energies[-1]),
                        stationary_value, 5e-4)
         # the saddle is degenerate, so a start at fraction f leaves it on
@@ -335,7 +339,7 @@ class _Battery:
             rng2 = np.random.default_rng(self.config.seed)
             scan = scan_sesqui_curve(self.M, [0.5, 1.0, 1.5], spec10)
             st = random_vertex_continuous_state(spec10, rng2, target_mass=self.M)
-            _, tr = gradient_flow_fixed_mass(st, step=0.1, max_iters=5, grad_tol=1e-12)
+            tr = self.flow(st, max_iters=5, grad_tol=1e-12)
             buf = io.StringIO()
             for columns in (scan.columns, state_columns(st), tr.columns):
                 write_csv(buf, columns)

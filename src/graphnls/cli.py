@@ -27,7 +27,7 @@ from . import __version__
 from .acceptance import _Battery, all_passed
 from .dynamics import (EvolutionConfig, discrete_stationary_state,
                        evolve, measure_omega)
-from .errors import DomainError, GraphNLSError, StallError, StepFailureError
+from .errors import DomainError, GraphNLSError, StepFailureError
 from .graph_core import GraphSpec, state_columns, table_json, write_csv
 from .landscape import (
     deposit_perturbation,
@@ -282,12 +282,8 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         start = dilation_family(config.mass, 1.0 + fraction, spec)
     else:
         raise DomainError(f"unknown perturbation kind: {kind!r}")
-    try:
-        _, trace = gradient_flow_fixed_mass(_tail_checked(start), step=args.step,
-                                            max_iters=args.max_iters,
-                                            grad_tol=args.grad_tol)
-    except StallError as exc:
-        trace = exc.trace
+    _, trace = gradient_flow_fixed_mass(_tail_checked(start), step=args.step,
+                                        max_iters=args.max_iters, grad_tol=args.grad_tol)
     stalled = trace.metadata["stop_reason"] == "stalled"
     final_energy = float(trace.energies[-1])
     infimum = energy_infimum(config.mass)
@@ -314,10 +310,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
     evo = EvolutionConfig(dt=config.dt, t_final=config.t_final,
-                          observe_every=args.observe_every)
-    if evo.steps <= evo.observe_every:  # the trace: t = 0 and one more row
-        raise DomainError(f"{evo.steps} steps at --observe-every {evo.observe_every} "
-                          "give 2 trace rows; the frequency fit needs 3")
+                          observe_every=args.observe_every).require_phase_fit()
     state = _named_state(args.initial, config, args)
     try:
         final, trace = evolve(state, evo)

@@ -80,6 +80,15 @@ class EvolutionConfig:
         """Number of time steps, round(t_final/|dt|)."""
         return int(round(self.t_final / abs(self.dt)))
 
+    def require_phase_fit(self) -> "EvolutionConfig":
+        """self, or a DomainError when the trace (t = 0, every
+        observe_every-th step and the last) has fewer than the 3 rows
+        that measure_omega fits."""
+        if self.steps <= self.observe_every:
+            raise DomainError(f"{self.steps} steps at --observe-every {self.observe_every} "
+                              "give 2 trace rows; the frequency fit needs 3")
+        return self
+
 
 @dataclass(frozen=True)
 class FlowTrace:

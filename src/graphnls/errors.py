@@ -58,20 +58,6 @@ class StepFailureError(GraphNLSError):
         self.step_index = int(step_index)
 
 
-class StallError(GraphNLSError):
-    """Gradient descent could no longer decrease the energy.
-
-    Attributes
-    ----------
-    trace : FlowTrace
-        Observables recorded up to the stall, for post-mortem inspection.
-    """
-
-    def __init__(self, message, trace):
-        super().__init__(message)
-        self.trace = trace
-
-
 class ProbeError(GraphNLSError):
     """A second-difference probe left the regime where it is meaningful."""
 

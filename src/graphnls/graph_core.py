@@ -75,8 +75,8 @@ class GraphState:
     """Immutable complex-valued function on the discretized star graph.
 
     values[e, j] is the sample on edge e at coordinate j*h, j=0 at the
-    vertex.  The array is stored read-only; use .values.copy() to get a
-    mutable buffer.
+    vertex; the constructor also takes a list of the E edge rows.  The
+    array is stored read-only; use .values.copy() to get a mutable buffer.
     """
 
     __slots__ = ("spec", "_values")
@@ -99,14 +99,6 @@ class GraphState:
     @property
     def values(self) -> np.ndarray:
         return self._values
-
-    @classmethod
-    def from_edges(cls, spec: GraphSpec, edges) -> "GraphState":
-        """Stack per-edge sample arrays (a sequence of E length-N arrays)."""
-        rows = [np.asarray(row, dtype=np.complex128) for row in edges]
-        if len(rows) != spec.edge_count:
-            raise DomainError(f"expected {spec.edge_count} edge arrays, got {len(rows)}")
-        return cls(spec, np.stack(rows, axis=0))
 
 
 def vertex_defect(state: GraphState) -> float:

@@ -32,7 +32,6 @@ from .errors import (
     DomainError,
     GraphNLSError,
     ProbeError,
-    StallError,
     TruncationError,
     ZeroEdgeMassError,
 )
@@ -91,18 +90,11 @@ class CurveScan:
 
 @dataclass(frozen=True)
 class SaddleReport:
-    """One directional second-difference probe of the constrained energy.
-
-    Both probe energies are kept alongside the second difference so a
-    reported curvature can be audited from its raw ingredients.
-    """
+    """One directional second-difference probe of the constrained energy."""
 
     direction: str
     epsilon: float
     second_difference: float
-    energy_plus: float
-    energy_minus: float
-    energy_center: float
 
 
 def comparison_sesquisoliton(state: GraphState):
@@ -290,16 +282,8 @@ def hessian_probe(
                 "beyond 10%"
             )
         probed.append(energy(rescale_mass(raw, M0)).total)
-    e_center = energy(center).total
-    sd = (probed[0] + probed[1] - 2.0 * e_center) / epsilon ** 2
-    return SaddleReport(
-        direction=label,
-        epsilon=epsilon,
-        second_difference=sd,
-        energy_plus=probed[0],
-        energy_minus=probed[1],
-        energy_center=e_center,
-    )
+    sd = (probed[0] + probed[1] - 2.0 * energy(center).total) / epsilon ** 2
+    return SaddleReport(direction=label, epsilon=epsilon, second_difference=sd)
 
 
 def sesqui_tangent(M: float, spec: GraphSpec) -> GraphState:
@@ -383,31 +367,33 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     1.2, up to 10 * step, so step is the initial step and not the cap
     (the preconditioned flow is stable well above it; a cap of 100 *
     step oscillates where the flow returns to the degenerate saddle).
-    Step underflow below 1e-12 raises StallError carrying the partial
-    trace.  step must be finite and positive, grad_tol finite and
-    nonnegative; anything else is a DomainError.
+    step must be finite and positive, grad_tol finite and nonnegative;
+    anything else is a DomainError.
 
     The flow stops when ||r|| drops to grad_tol ("converged"), when
-    the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), or after
-    max_iters accepted steps ("max_iters").  The infimum -M0^3/96 is
-    not attained, so an escaped run has no critical point to converge
-    to; near_infimum ends it, and ends it while the escaping soliton is
-    still far from x = L: with the natural far end the truncated
-    problem is not bounded below by -M^3/96 (a half-soliton parked at
-    x = L reaches -M^3/24).  On two edges, a line, the soliton attains
-    -M^3/96, and the rule stops the run short of it.
+    the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), after
+    max_iters accepted steps ("max_iters"), or when backtracking halves
+    s below 1e-12 ("stalled", as at a critical point of the discrete
+    energy).  The infimum -M0^3/96 is not attained, so an escaped run
+    has no critical point to converge to; near_infimum ends it, and
+    ends it while the escaping soliton is still far from x = L: with
+    the natural far end the truncated problem is not bounded below by
+    -M^3/96 (a half-soliton parked at x = L reaches -M^3/24).  On two
+    edges, a line, the soliton attains -M^3/96, and the rule stops the
+    run short of it.
 
     Each recorded state costs one energy_gradient, shared with
     best_omega, and one edge_masses pass, which gives M0 or best_omega's
     mass and the recorded masses; each step costs one resolvent solve,
     and each trial step one rescale_mass and one energy.
 
-    Returns (final state, FlowTrace); trace extras record the projected
-    gradient norm and the position (edge, coordinate) of the modulus
-    maximum, a proxy for where the escaping soliton sits.  Trace
-    metadata records stop_reason ("converged", "near_infimum",
-    "max_iters" or "stalled"), the accepted and rejected trial steps,
-    and final_step, the step size the next trial would have used.
+    Returns (last accepted state, FlowTrace) at every stop; trace
+    extras record the projected gradient norm and the position (edge,
+    coordinate) of the modulus maximum, a proxy for where the escaping
+    soliton sits.  Trace metadata records stop_reason ("converged",
+    "near_infimum", "max_iters" or "stalled"), the accepted and rejected
+    trial steps, and final_step, the step size the next trial would
+    have used (below 1e-12 after a stall).
     """
     if not (math.isfinite(step) and step > 0):
         raise DomainError(f"step must be positive and finite, got {step}")
@@ -430,11 +416,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
 
     recorder = TraceRecorder(state0)
     rejected = 0
-
-    def build_trace(stop_reason, final_step):
-        return recorder.trace(stop_reason=stop_reason,
-                              accepted_steps=len(recorder) - 1,
-                              rejected_steps=rejected, final_step=final_step)
+    stalled = False
 
     def record(it, st, e_total, em):
         """Trace row of an accepted state with edge masses em; returns
@@ -459,7 +441,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
             if pg <= grad_tol or e_current <= near_infimum:
                 break
             d = _sobolev_direction(current, r, m, resolvent)
-            while True:
+            while not stalled:
                 try:
                     trial = rescale_mass(GraphState(spec, current.values + s * d), M0)
                 except DomainError:  # the unprojected trial overflowed
@@ -470,11 +452,9 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
                     break
                 rejected += 1
                 s *= 0.5
-                if s < 1e-12:
-                    raise StallError(
-                        "gradient flow stalled: no descent step above 1e-12",
-                        build_trace("stalled", s),
-                    )
+                stalled = s < 1e-12
+            if stalled:
+                break
             current, e_current = trial, e_trial
             s = min(s * 1.2, 10.0 * step)
             r, m, pg = record(it, current, e_current, edge_masses(current))
@@ -483,8 +463,9 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     elif e_current <= near_infimum:
         reason = "near_infimum"
     else:
-        reason = "max_iters"
-    return current, build_trace(reason, s)
+        reason = "stalled" if stalled else "max_iters"
+    return current, recorder.trace(stop_reason=reason, accepted_steps=len(recorder) - 1,
+                                   rejected_steps=rejected, final_step=s)
 
 
 def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:

@@ -98,10 +98,6 @@ class SesquiParams:
     def solve(cls, m1: float, m2: float) -> "SesquiParams":
         return cls(m1, m2)
 
-    @property
-    def total_mass(self) -> float:
-        return self.m1 + self.m2
-
 
 def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
     """Sesquisoliton trial state on the 3-edge star.
@@ -137,7 +133,7 @@ def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
     # Soliton centered at xi = -offset puts the peak on edge 1.
     e1 = line_soliton(params.m2, params.offset, x)
     e2 = line_soliton(params.m2, -params.offset, x)
-    return GraphState.from_edges(spec, [e0, e1, e2])
+    return GraphState(spec, [e0, e1, e2])
 
 
 def _require_finite_energy(M: float, lam: float, spec: GraphSpec) -> None:
@@ -171,7 +167,7 @@ def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
     lam, m = float(lam), float(M) / 3.0
     x = spec.coordinates()
     edge = _scaled_sech(np.sqrt(lam) * (m / math.sqrt(2.0)), 0.5 * m * lam, x)
-    return GraphState.from_edges(spec, [edge] * 3)
+    return GraphState(spec, [edge] * 3)
 
 
 @dataclass(frozen=True)

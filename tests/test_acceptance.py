@@ -7,8 +7,11 @@ the observed values, so a red test points straight at the number that
 missed its window.
 """
 
+from dataclasses import replace
+
 import pytest
 
+from graphnls import acceptance
 from graphnls.acceptance import _Battery, all_passed
 from graphnls.cli import RunConfig
 
@@ -94,3 +97,21 @@ def test_criterion_reports_its_seconds_and_the_grids_it_built(criterion, grids):
         for e, length, n in grids]
     assert {r.criterion for r in battery.results} == {criterion}
     assert not any(r.name.endswith("_error") for r in battery.results)
+
+
+@pytest.mark.parametrize("criterion", [9, 10])
+def test_a_stalled_flow_fails_its_criterion(monkeypatch, criterion):
+    # the flow returns a stalled run like any other; the battery turns
+    # it into the criterion's error row
+    flow = acceptance.gradient_flow_fixed_mass
+
+    def stalled(start, **kwargs):
+        state, trace = flow(start, **{**kwargs, "max_iters": 0})
+        return state, replace(trace, metadata={**trace.metadata, "stop_reason": "stalled"})
+
+    monkeypatch.setattr(acceptance, "gradient_flow_fixed_mass", stalled)
+    battery = _Battery(RunConfig(points=64))
+    battery.run_criterion(criterion)
+    (error,) = [r for r in battery.results if r.name == f"criterion{criterion}_error"]
+    assert not error.passed
+    assert "gradient flow stalled" in error.expected

@@ -293,6 +293,11 @@ class TestBadInput:
         ["scan", "dilation", "--lambda", "1,1e300"],
         ["flow", "--perturbation", "dilation:1e300"],
         ["verify", "--seed", "-1"],
+        # criterion 8's time grid is checked before the battery starts
+        ["verify", "--dt", "0.3", "--t-final", "1"],
+        ["verify", "--dt", "0"],
+        ["verify", "--dt", "nan"],
+        ["verify", "--t-final", "0.005"],
         ["profile", "stationary", "--mass", "1e200"],
         ["scan", "sesqui", "--mass", "1e200"],
         ["evolve", "--mass", "1e100"],
@@ -443,6 +448,21 @@ class TestEntryPoint:
                        for alias in node.names
                        if (alias.asname or alias.name).split(".")[0] not in used]
         assert unused == []
+
+    def test_every_error_class_is_raised(self):
+        # an exception class that no module raises or constructs is the
+        # leftover of a failure mode that went away
+        package = Path(graphnls.__file__).parent
+        defined = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+                   if isinstance(node, ast.ClassDef)}
+        used = set()
+        for module in package.glob("*.py"):
+            for node in ast.walk(ast.parse(module.read_text())):
+                if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+                    used.add(node.func.id)
+                elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
+                    used.add(node.exc.id)
+        assert sorted(defined - used) == []
 
 
 class TestConfigPlumbing:
