@@ -44,8 +44,8 @@ def main():
     print(f"grid: {spec.edge_count} edges, length {spec.truncation_length}, "
           f"{spec.points_per_edge} points, h = {spec.spacing:.5f}\n")
 
-    st, info = stationary_state(M, spec)
-    print(f"stationary state: omega = {info.omega}, energy = {info.energy}")
+    st, omega = stationary_state(M, spec)
+    print(f"stationary state: omega = {omega}, energy = {-(M ** 3) / 216.0}")
     report("stationary", st)
 
     print("\nsesquisoliton family, m1 shrinking toward 0:")

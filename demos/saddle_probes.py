@@ -29,20 +29,21 @@ OUT = os.environ.get("GRAPHNLS_OUT", "demo_output")
 def main():
     os.makedirs(OUT, exist_ok=True)
     spec = GraphSpec(3, 30.0, 2048)
-    center, info = stationary_state(M, spec)
-    print(f"probing at the stationary state, energy {info.energy}\n")
+    center, _ = stationary_state(M, spec)
+    print(f"probing at the stationary state, energy {-(M ** 3) / 216.0}\n")
 
-    reports = []
+    columns = {"direction": [], "epsilon": [], "second_difference": []}
     for label, direction in [
         ("dilation", dilation_tangent(M, spec)),
         ("phase", phase_direction(center)),
         ("sesqui_chord", sesqui_tangent(M, spec)),
     ]:
         for eps in (1e-2, 5e-3, 2.5e-3):
-            rep = hessian_probe(center, direction, eps, label)
-            reports.append(rep)
-            print(f"{label:14s} eps {eps:7.4f}  "
-                  f"second difference {rep.second_difference:+.6f}")
+            sd = hessian_probe(center, direction, eps)
+            columns["direction"].append(label)
+            columns["epsilon"].append(eps)
+            columns["second_difference"].append(sd)
+            print(f"{label:14s} eps {eps:7.4f}  second difference {sd:+.6f}")
         print()
 
     print("dilation is positive (a true up direction), phase is zero")
@@ -59,11 +60,7 @@ def main():
 
     path = os.path.join(OUT, "saddle_probes.csv")
     with open(path, "w") as fh:
-        write_csv(fh, {
-            "direction": [r.direction for r in reports],
-            "epsilon": [r.epsilon for r in reports],
-            "second_difference": [r.second_difference for r in reports],
-        })
+        write_csv(fh, columns)
     print(f"\nprobe table written to {path}")
 
 

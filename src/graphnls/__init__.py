@@ -36,7 +36,6 @@ from .graph_core import (
 )
 from .profiles import (
     SesquiParams,
-    StationaryInfo,
     dilation_family,
     energy_infimum,
     energy_sesqui_closed,
@@ -68,7 +67,6 @@ from .dynamics import (
 )
 from .landscape import (
     CurveScan,
-    SaddleReport,
     comparison_sesquisoliton,
     deposit_perturbation,
     dilation_tangent,
@@ -84,4 +82,4 @@ from .landscape import (
     sesqui_tangent,
     shift_perturbation,
 )
-from .acceptance import CheckResult, all_passed
+from .acceptance import CheckResult

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from . import __version__
-from .acceptance import _Battery, all_passed
+from .acceptance import _Battery
 from .dynamics import (EvolutionConfig, discrete_stationary_state,
                        evolve, measure_omega)
 from .errors import DomainError, GraphNLSError, StepFailureError
@@ -196,7 +196,7 @@ def _write_json(config: RunConfig, name: str, obj) -> str:
 def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
     battery = _Battery(config)
     results = battery.run()
-    ok = all_passed(results)
+    ok = all(r.passed for r in results)
     report = {
         "version": __version__,
         "config": asdict(config),
@@ -222,6 +222,9 @@ def cmd_verify(config: RunConfig, args: argparse.Namespace) -> int:
 def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
     curve = args.curve
+    flag, value = ("--m1", args.m1) if curve == "dilation" else ("--lambda", args.lam)
+    if value is not None:
+        raise DomainError(f"scan {curve} does not read {flag}")
     if curve == "sesqui":
         values = _parse_values(args.m1 or _DEFAULT_RANGES["sesqui"])
         scan = scan_sesqui_curve(config.mass, values, spec)

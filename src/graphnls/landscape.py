@@ -88,15 +88,6 @@ class CurveScan:
                 "discrete_energy": self.discrete_energy, **self.extras}
 
 
-@dataclass(frozen=True)
-class SaddleReport:
-    """One directional second-difference probe of the constrained energy."""
-
-    direction: str
-    epsilon: float
-    second_difference: float
-
-
 def comparison_sesquisoliton(state: GraphState):
     """The proof's comparison map: a sesquisoliton below any given state.
 
@@ -236,7 +227,10 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     closed, offsets, discrete = _sesqui_energies(M, m1s, spec)
     gaps = discrete - energy_infimum(M)
     if not np.all(gaps > 0):
-        raise GraphNLSError("a minimizing-sequence energy fell below the infimum")
+        k = int(np.argmin(gaps))
+        raise GraphNLSError(
+            f"the minimizing-sequence energy at m1 = {m1s[k]:g} lies {-gaps[k]:.3g} "
+            "below the infimum -M^3/96; the grid is too coarse for this scan")
     if len(gaps) >= 2 and not np.all(np.diff(gaps) < 0):
         raise GraphNLSError("minimizing-sequence gaps failed to decrease")
     return CurveScan(
@@ -249,18 +243,16 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     )
 
 
-def hessian_probe(
-    center: GraphState, direction: GraphState, epsilon: float, label: str = "probe"
-) -> SaddleReport:
+def hessian_probe(center: GraphState, direction: GraphState, epsilon: float) -> float:
     """Second difference of the mass-constrained energy along a direction.
 
-    Probe states center +- eps*direction are rescaled back to the
-    center's mass before their energies enter the second difference, so
-    the result estimates the curvature of the energy restricted to the
-    constraint sphere.  Raises ProbeError when the rescaling moves the
-    mass by more than 10%, which is where the quadratic reading of the
-    result stops being meaningful.  Raises DomainError for a direction on
-    another grid.
+    Returns (E(center + eps d) + E(center - eps d) - 2 E(center)) / eps^2
+    with the probe states center +- eps d rescaled back to the center's
+    mass first, so the value estimates the curvature of the energy
+    restricted to the constraint sphere.  Raises ProbeError when the
+    rescaling moves the mass by more than 10%, which is where the
+    quadratic reading of the result stops being meaningful.  Raises
+    DomainError for a direction on another grid.
     """
     if not epsilon > 0:
         raise DomainError(f"epsilon must be positive, got {epsilon}")
@@ -282,8 +274,7 @@ def hessian_probe(
                 "beyond 10%"
             )
         probed.append(energy(rescale_mass(raw, M0)).total)
-    sd = (probed[0] + probed[1] - 2.0 * energy(center).total) / epsilon ** 2
-    return SaddleReport(direction=label, epsilon=epsilon, second_difference=sd)
+    return (probed[0] + probed[1] - 2.0 * energy(center).total) / epsilon ** 2
 
 
 def sesqui_tangent(M: float, spec: GraphSpec) -> GraphState:
@@ -468,7 +459,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
                                    rejected_steps=rejected, final_step=s)
 
 
-def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:
+def shift_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState:
     """Stationary state with mass slid between the last two edges.
 
     The profiles on edges 1 and 2 are translated by +/-eta along their
@@ -498,7 +489,7 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> Gra
     return rescale_mass(GraphState(spec, vals), M)
 
 
-def deposit_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:
+def deposit_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState:
     """Stationary state with mass moved from edge 0 onto the other edges.
 
     Edge 0 is scaled down and every other edge scaled up so that
@@ -512,7 +503,7 @@ def deposit_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> G
     return _edge0_transfer(M, spec, fraction * M)
 
 
-def gather_perturbation(M: float, spec: GraphSpec, fraction: float = 0.01) -> GraphState:
+def gather_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState:
     """The mirror of deposit_perturbation: `fraction` of the total mass
     gathered onto edge 0, taken evenly off the other edges.
 

@@ -16,8 +16,8 @@ Building blocks, all for the cubic focusing nonlinearity:
   closed form -m1^3/24 + (m1 - M)^3/96 where M = m1 + m2.
 
 * stationary_state: the unique critical point at fixed total mass M,
-  three identical half-solitons of mass M/3 (frequency M^2/36, energy
-  -M^3/216); dilation_family scales it at fixed mass.
+  three identical half-solitons of mass M/3, with its frequency M^2/36
+  (energy -M^3/216); dilation_family scales it at fixed mass.
 
 The infimum of the fixed-mass energy is -M^3/96 (a line soliton escaped
 to infinity along two edges); it is approached but never attained, and
@@ -67,10 +67,11 @@ def solve_offset(m1: float, m2: float) -> float:
     profile gives cosh(m2 x / 4) = m2 / (2 m1), i.e.
     x = (4/m2) arccosh(m2 / (2 m1)).  Requires m2 >= 2 m1; at equality
     the offset is 0 and the sesquisoliton degenerates to the symmetric
-    three-half-soliton state when additionally m1 = m2/2 = M/3.
+    three-half-soliton state when additionally m1 = m2/2 = M/3.  A mass
+    that is not positive and finite is a DomainError.
     """
-    if not (m1 > 0 and m2 > 0):
-        raise DomainError(f"masses must be positive, got m1={m1}, m2={m2}")
+    if not (math.isfinite(m1) and math.isfinite(m2) and m1 > 0 and m2 > 0):
+        raise DomainError(f"masses must be positive and finite, got m1={m1}, m2={m2}")
     ratio = m2 / (2.0 * m1)
     if ratio < 1.0 - _OFFSET_EDGE_SLACK:
         raise OffsetError(
@@ -170,25 +171,14 @@ def dilation_family(M: float, lam: float, spec: GraphSpec) -> GraphState:
     return GraphState(spec, [edge] * 3)
 
 
-@dataclass(frozen=True)
-class StationaryInfo:
-    """Parameters of the symmetric stationary state at total mass M."""
-
-    omega: float
-    energy: float
-
-
 def stationary_state(M: float, spec: GraphSpec):
     """Three half-solitons of mass M/3: the unique fixed-mass critical point.
 
-    Returns (state, info) with info.omega = M^2/36 and
-    info.energy = -M^3/216.  It is a saddle of the fixed-mass energy,
-    not a minimum.  The state is dilation_family(M, 1, spec).
+    Returns (state, omega) with omega = M^2/36, as discrete_stationary_state
+    does; the energy is -M^3/216.  A saddle of the fixed-mass energy, not
+    a minimum.  The state is dilation_family(M, 1, spec).
     """
-    # the family rejects first a mass whose M ** 3 would overflow here
-    state = dilation_family(M, 1.0, spec)
-    info = StationaryInfo(omega=M * M / 36.0, energy=-(M ** 3) / 216.0)
-    return state, info
+    return dilation_family(M, 1.0, spec), M * M / 36.0
 
 
 def energy_infimum(M: float) -> float:

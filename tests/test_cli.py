@@ -1,8 +1,9 @@
 """End-to-end runs of the command-line interface.
 
 Most tests call cli.main in-process, in a temporary working directory,
-reading stdout/stderr through capsys; one smoke test starts the real
-`python -m graphnls.cli` entry point in a child process.
+reading stdout/stderr through capsys; a few start child processes: the
+real `python -m graphnls.cli` entry point, and the two demos that read
+what hessian_probe and stationary_state return.
 """
 
 import ast
@@ -108,6 +109,15 @@ class TestScan:
     def test_unknown_curve_is_a_usage_error(self, run, tmp_path):
         r = run(["scan", "bogus"] + FAST, tmp_path)
         assert r.returncode == 2
+
+    def test_minseq_on_a_coarse_grid_says_why(self, run, tmp_path):
+        # at h = 60/255 the discrete energy at m1 = 0.02 lies 0.0093 below
+        # -M^3/96: the discretization error exceeds the gap
+        r = run(["scan", "minseq", "--points", "256", "--length", "60"], tmp_path)
+        assert r.returncode == 1
+        assert "m1 = 0.02" in r.stderr
+        assert r.stderr.rstrip().endswith("the grid is too coarse for this scan")
+        assert not any(tmp_path.iterdir())
 
 
 class TestProfile:
@@ -316,6 +326,11 @@ class TestBadInput:
         ["scan", "minseq", "--m1", "0.5,1"],
         ["scan", "minseq", "--m1", "3"],
         ["flow", "--perturbation", "wiggle:x"],
+        ["profile", "sesqui", "--m1", "inf", "--m2", "inf"],
+        # a range flag the curve does not read
+        ["scan", "dilation", "--m1", "0.5"],
+        ["scan", "sesqui", "--lambda", "2"],
+        ["scan", "minseq", "--lambda", "1"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed
@@ -423,8 +438,21 @@ class TestEntryPoint:
         assert r.returncode == 0, r.stderr
         assert r.stdout.split() == []
 
+    @pytest.mark.parametrize("demo, table", [("saddle_probes", "saddle_probes.csv"),
+                                             ("profiles_gallery", "stationary.csv")])
+    def test_demo_runs(self, tmp_path, demo, table):
+        # these demos read what hessian_probe and stationary_state return
+        env = child_env()
+        env["GRAPHNLS_OUT"] = str(tmp_path)
+        path = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
+        r = subprocess.run([sys.executable, str(path)], cwd=tmp_path, env=env,
+                           capture_output=True, text=True)
+        assert r.returncode == 0, r.stderr
+        assert r.stderr == ""
+        assert (tmp_path / table).exists()
+
     def test_demo_imports_resolve(self):
-        # the demos take seconds each and do not run here; their imports do
+        # the other demos take seconds each and do not run here; their imports do
         demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
         names = [(demo.name, alias.name) for demo in demos
                  for node in ast.walk(ast.parse(demo.read_text()))

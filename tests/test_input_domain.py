@@ -174,3 +174,19 @@ def test_sesquisoliton_fits_on_the_edge_or_is_a_domain_error(m1, ratio, length):
             return
     assert fits
     assert state.values.shape == (3, 64)
+
+
+@given(st.floats(), st.floats())
+@example(1.0, math.inf)
+@example(math.inf, math.inf)
+@example(math.nan, 4.0)
+@example(5e-324, sys.float_info.max)
+@example(1.0, 4.0)
+def test_sesqui_masses_give_an_offset_or_a_domain_error(m1, m2):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        try:
+            params = SesquiParams.solve(m1, m2)
+        except DomainError:
+            return
+    assert params.offset >= 0.0  # False for NaN

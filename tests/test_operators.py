@@ -168,30 +168,30 @@ class TestGradient:
 
     def test_gradient_small_at_stationary_state(self):
         spec = GraphSpec(3, 30.0, 2048)
-        st, info = stationary_state(M, spec)
+        st, omega = stationary_state(M, spec)
         # grad E = -lap - |psi|^2 psi; at the profile it equals -omega*psi
         g = energy_gradient(st)
-        resid = GraphState(spec, g.values + info.omega * st.values)
+        resid = GraphState(spec, g.values + omega * st.values)
         assert weighted_norm(resid) < 1e-3
 
 
 class TestEulerLagrange:
     def test_residual_small_at_stationary_state(self):
         spec = GraphSpec(3, 30.0, 2048)
-        st, info = stationary_state(M, spec)
-        assert el_residual(st, info.omega) < 1e-3
+        st, omega = stationary_state(M, spec)
+        assert el_residual(st, omega) < 1e-3
 
     def test_residual_quarters_under_grid_halving(self):
-        st1, info = stationary_state(M, GraphSpec(3, 30.0, 1024))
+        st1, omega = stationary_state(M, GraphSpec(3, 30.0, 1024))
         st2, _ = stationary_state(M, GraphSpec(3, 30.0, 2047))
-        r1 = el_residual(st1, info.omega)
-        r2 = el_residual(st2, info.omega)
+        r1 = el_residual(st1, omega)
+        r2 = el_residual(st2, omega)
         assert 3.5 < r1 / r2 < 4.5
 
     def test_best_omega_at_stationary_state(self):
         spec = GraphSpec(3, 30.0, 2048)
-        st, info = stationary_state(M, spec)
-        assert best_omega(st) == pytest.approx(info.omega, rel=1e-3)
+        st, omega = stationary_state(M, spec)
+        assert best_omega(st) == pytest.approx(omega, rel=1e-3)
 
     def test_best_omega_reuses_a_given_gradient_exactly(self, coarse_spec, rng):
         st = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)

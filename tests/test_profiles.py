@@ -211,14 +211,13 @@ class TestClosedEnergy:
 class TestStationaryState:
     def test_info_constants(self):
         spec = GraphSpec(3, 30.0, 512)
-        _, info = stationary_state(M, spec)
-        assert info.omega == pytest.approx(1.0, rel=1e-15)
-        assert info.energy == pytest.approx(-1.0, rel=1e-15)
+        _, omega = stationary_state(M, spec)
+        assert omega == pytest.approx(1.0, rel=1e-15)
 
     def test_grid_energy_near_closed_value(self):
         spec = GraphSpec(3, 30.0, 2048)
-        st, info = stationary_state(M, spec)
-        assert energy(st).total == pytest.approx(info.energy, rel=1e-4)
+        st, _ = stationary_state(M, spec)
+        assert energy(st).total == pytest.approx(-(M ** 3) / 216.0, rel=1e-4)
 
     def test_mass(self):
         spec = GraphSpec(3, 30.0, 2048)
