@@ -47,6 +47,8 @@ _DEFAULT_RANGES = {
     "dilation": "0.5:1.5:21",
     "minseq": "1,0.5,0.1,0.02",
 }
+# --m1/--m2 when not given; only the sesquisoliton reads them
+_SESQUI_MASSES = {"m1": 1.0, "m2": 4.0}
 
 
 @dataclass(frozen=True)
@@ -251,8 +253,12 @@ def _tail_checked(state):
 
 def _named_state(kind: str, config: RunConfig, args: argparse.Namespace):
     if kind == "stationary":
+        if args.m1 is not None or args.m2 is not None:
+            raise DomainError("the stationary state does not read --m1 or --m2")
         return _tail_checked(stationary_state(config.mass, config.spec())[0])
-    return _tail_checked(sesquisoliton(SesquiParams.solve(args.m1, args.m2), config.spec()))
+    m1 = _SESQUI_MASSES["m1"] if args.m1 is None else args.m1
+    m2 = _SESQUI_MASSES["m2"] if args.m2 is None else args.m2
+    return _tail_checked(sesquisoliton(SesquiParams.solve(m1, m2), config.spec()))
 
 
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
@@ -382,8 +388,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("profile", help="sample a named profile to a table")
     p.add_argument("kind", choices=("stationary", "sesqui"))
-    p.add_argument("--m1", type=float, default=1.0, help="sesqui first-edge mass")
-    p.add_argument("--m2", type=float, default=4.0, help="sesqui remaining mass")
+    p.add_argument("--m1", type=float,
+                   help=f"sesqui first-edge mass (default {_SESQUI_MASSES['m1']})")
+    p.add_argument("--m2", type=float,
+                   help=f"sesqui remaining mass (default {_SESQUI_MASSES['m2']})")
     _add_common(p, "format")
     p.set_defaults(handler=cmd_profile)
 
@@ -405,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("evolve", help="Crank-Nicolson time evolution")
     p.add_argument("--initial", choices=("stationary", "sesqui"),
                    default="stationary")
-    p.add_argument("--m1", type=float, default=1.0, help="sesqui first-edge mass")
-    p.add_argument("--m2", type=float, default=4.0, help="sesqui remaining mass")
+    p.add_argument("--m1", type=float,
+                   help=f"sesqui first-edge mass (default {_SESQUI_MASSES['m1']})")
+    p.add_argument("--m2", type=float,
+                   help=f"sesqui remaining mass (default {_SESQUI_MASSES['m2']})")
     p.add_argument("--observe-every", dest="observe_every", type=int, default=10)
     _add_common(p, "dt", "t_final", "format")
     p.set_defaults(handler=cmd_evolve)

@@ -5,7 +5,9 @@ nonlinearity evaluated at the midpoint), solved per step by fixed-point
 iteration on the nonlinear term around a direct linear solve.  The
 linear system couples E tridiagonal edge blocks through the single
 shared vertex unknown; the arrowhead elimination of operators, shared
-with the descent flow, keeps each solve O(E*N).
+with the descent flow, keeps each solve O(E*N).  A state with equal
+edge rows, such as the standing wave, keeps them equal, so it is
+stepped as one row, to the same bits as E rows.
 evolve starts each step's iteration from the past midpoints extrapolated
 to degree 4, 2.5 Psi_n - 2.5 Psi_{n-1} + 2.5 Psi_{n-3} - 2 Psi_{n-4} +
 0.5 Psi_{n-5}, which takes the standing wave from 4 solves per step
@@ -35,8 +37,8 @@ from .errors import (
     StepFailureError,
 )
 from .graph_core import GraphSpec, GraphState, _column_arrays, edge_masses, edge_weights
-from .operators import (_Arrowhead, _laplacian_bands, _laplacian_values, _symmetrized,
-                        energy, weighted_inner)
+from .operators import (_Arrowhead, _edge_sum, _laplacian_bands, _laplacian_values,
+                        _symmetrized, energy, weighted_inner)
 from .profiles import half_soliton
 
 # Tolerances and budgets of the midpoint fixed point and of Newton, whose
@@ -185,6 +187,16 @@ def _banded_chain(chain: np.ndarray):
     return lambda B: solve_banded((1, 1), chain, B, check_finite=False)
 
 
+def _edge_symmetric(values: np.ndarray) -> bool:
+    """True when every edge row equals row 0 (a NaN equals nothing)."""
+    values = np.asarray(values, dtype=np.complex128)
+    if values.strides[-1] != values.itemsize:
+        values = np.ascontiguousarray(values)
+    # compared as float64 (re, im) pairs, about three times faster than complex
+    parts = values.view(np.float64)
+    return bool((parts[1:] == parts[0]).all())
+
+
 def step_crank_nicolson(
     state: GraphState,
     dt: float,
@@ -203,6 +215,11 @@ def step_crank_nicolson(
     on this grid (evolve extrapolates past midpoints); start is only
     read, and it moves the result only at the fixed-point tolerance,
     _FIXED_POINT_TOL.  The iterations reuse buffers made once per step.
+    Edge-symmetric values and start (every row equal to row 0) are
+    iterated on row 0, counted E times in each sum over edges; the
+    result is bit for bit the E-row one, though the stop test's update
+    and norm may differ in their last bits (BLAS sums one row in
+    another order).
 
     Raises DomainError for a zero or non-finite dt or a non-finite start,
     and StepFailureError when the fixed point does not converge or an
@@ -212,15 +229,19 @@ def step_crank_nicolson(
     if not (math.isfinite(dt) and dt != 0.0):
         raise DomainError(f"dt must be nonzero and finite, got {dt}")
     spec = state.spec
+    E = spec.edge_count
     vals = _symmetrized(state.values)
     if start is not None and np.shape(start) != vals.shape:
         raise DomainError(f"start shape {np.shape(start)} does not match grid {vals.shape}")
     if solver is None:
         solver = _Arrowhead(spec, -2j / dt, _banded_chain)
-    b = (-2j / dt) * vals
+    # edge-symmetric values and start have an edge-symmetric midpoint
+    rows = 1 if _edge_symmetric(vals) and (start is None or _edge_symmetric(start)) else E
+    psi = vals[:rows]
+    b = (-2j / dt) * psi
     # weights of the float64 views, where each value's re and im sit side by side
     w2 = np.repeat(edge_weights(spec), 2)
-    W = vals.copy() if start is None else np.array(start, dtype=np.complex128, order="C")
+    W = psi.copy() if start is None else np.array(start[:rows], dtype=np.complex128, order="C")
     W_next, rhs = np.empty_like(W), np.empty_like(W)
     sq = np.square(W.view(np.float64))  # re^2 and im^2 of the iterate W
     dsq, mod2, finite = np.empty_like(sq), np.empty(W.shape), np.empty(sq.shape, bool)
@@ -234,13 +255,13 @@ def step_crank_nicolson(
                 break
             solver.solve(rhs[0, 0], rhs[:, 1:], W_next)
             np.subtract(W_next.view(np.float64), W.view(np.float64), out=dsq)
-            diff = math.sqrt((np.square(dsq, out=dsq) @ w2).sum())
-            norm = math.sqrt((np.square(W_next.view(np.float64), out=sq) @ w2).sum())
+            diff = math.sqrt(_edge_sum(np.square(dsq, out=dsq) @ w2, E))
+            norm = math.sqrt(_edge_sum(np.square(W_next.view(np.float64), out=sq) @ w2, E))
             if not (math.isfinite(diff) and math.isfinite(norm)):
                 break
             W, W_next = W_next, W
             if diff <= _FIXED_POINT_TOL * max(1.0, norm):
-                return GraphState(spec, 2.0 * W - vals)
+                return GraphState(spec, np.broadcast_to(2.0 * W - psi, vals.shape))
         else:
             raise StepFailureError(
                 f"midpoint fixed point did not reach tol {_FIXED_POINT_TOL:.1e} in "
@@ -272,7 +293,8 @@ def evolve(state: GraphState, config: EvolutionConfig):
     the moving sesquisoliton to about 3.2 (N = 4096) or 3.6 (N = 512).
     The trace's extra column fixed_point_iters holds the midpoint
     iterations (one linear solve each) taken since the previous row; row
-    0 reads 0.
+    0 reads 0.  An edge-symmetric start stays so: the past states and
+    guesses are then held on row 0 and broadcast to the step.
     """
     n_steps = config.steps
     spec = state.spec
@@ -280,8 +302,10 @@ def evolve(state: GraphState, config: EvolutionConfig):
     recorder = TraceRecorder(current)
     recorder.observe(0.0, current, energy(current).total, fixed_point_iters=0)
     solver = _Arrowhead(spec, -2j / config.dt, _banded_chain)
-    past = [current.values]  # the latest states, newest first, at most six
-    guess = np.empty_like(current.values)
+    # a step keeps an edge-symmetric state so
+    rows = 1 if _edge_symmetric(current.values) else spec.edge_count
+    past = [current.values[:rows]]  # the latest states, newest first, at most six
+    guess = np.empty_like(past[0])
     recorded_solves = 0
     for k in range(1, n_steps + 1):
         if len(past) == 6:
@@ -297,11 +321,13 @@ def evolve(state: GraphState, config: EvolutionConfig):
         else:
             start = (None if len(past) == 1 else 1.5 * past[0] - 0.5 * past[1]
                      if len(past) < 4 else 1.5 * past[0] - past[2] + 0.5 * past[3])
+        if start is not None:
+            start = np.broadcast_to(start, current.values.shape)
         try:
             current = step_crank_nicolson(current, config.dt, start=start, solver=solver)
         except StepFailureError as exc:
             raise StepFailureError(f"step {k}: {exc}", k) from None
-        past = [current.values, *past[:5]]
+        past = [current.values[:rows], *past[:5]]
         if k % config.observe_every == 0 or k == n_steps:
             recorder.observe(k * config.dt, current, energy(current).total,
                              fixed_point_iters=solver.solves - recorded_solves)

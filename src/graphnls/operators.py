@@ -18,6 +18,8 @@ _Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
 -2i/dt) and for the descent flow's preconditioner (shift 1).  Both
 solve a complex chain: the flow through LAPACK's zgttrf/zgttrs, the
 stepper through solve_banded, where the benchmark counts its solves.
+An edge-symmetric system, the stepper's on the standing wave, is
+solved as one edge row: one chain column in place of E.
 """
 
 from __future__ import annotations
@@ -92,6 +94,12 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
     return bands
 
 
+def _edge_sum(per_edge: np.ndarray, edge_count: int):
+    """Sum of E per-edge values; one value (an edge-symmetric state's)
+    counts E times, added as E equal values are, to the same bits."""
+    return np.broadcast_to(per_edge, (edge_count,)).sum()
+
+
 class _Arrowhead:
     """Direct solver for (shift I - L) W = rhs, L as in _laplacian_values.
 
@@ -99,6 +107,8 @@ class _Arrowhead:
     is a rank-one Schur complement: one chain solve per right-hand side
     plus a scalar division.  Every edge has the same tridiagonal chain,
     shift I - bands[:, 1:], because the grid is uniform and shared.
+    An edge-symmetric system (every edge row equal) is solved as one
+    row: one chain column in place of E.
     factor(chain) returns its solve, B -> chain^{-1} B for B of shape
     (N-1, k): the descent flow passes _lapack_chain, which factors the
     chain once in complex.  factor stays only for the Crank-Nicolson
@@ -117,16 +127,20 @@ class _Arrowhead:
         e1[0, 0] = bands[2, 0]
         self._z = self._chain_solve(e1)[:, 0]
         self._vertex_coupling = _vertex_coupling(spec)
+        self._edge_count = spec.edge_count
         self._denom = (shift - bands[1, 0]) - bands[0, 1] * self._z[0]
         self.solves = 0
 
     def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
         """Write the solution into out, shape (E, N): the vertex value
         in column 0 and the per-edge chains of length N-1 after it.
-        rhs_edges must be finite; the result is not checked."""
+        One-row rhs_edges and out, (1, N-1) and (1, N), are an
+        edge-symmetric system: the row is bit for bit each row of the
+        E-row solve.  rhs_edges must be finite; the result is not checked."""
         self.solves += 1
         Y = self._chain_solve(rhs_edges.T)
-        v = (rhs_vertex + self._vertex_coupling * Y[0, :].sum()) / self._denom
+        heads = _edge_sum(Y[0, :], self._edge_count)
+        v = (rhs_vertex + self._vertex_coupling * heads) / self._denom
         out[:, 0] = v
         chains = out[:, 1:]
         np.multiply(self._z, v, out=chains)

@@ -331,6 +331,9 @@ class TestBadInput:
         ["scan", "dilation", "--m1", "0.5"],
         ["scan", "sesqui", "--lambda", "2"],
         ["scan", "minseq", "--lambda", "1"],
+        # --m1 and --m2 shape only the sesquisoliton
+        ["profile", "stationary", "--m1", "5", "--m2", "0.1"],
+        ["evolve", "--initial", "stationary", "--m1", "nan", "--t-final", "0.02"],
     ], ids="_".join)
     def test_exit_2_with_a_message(self, run, tmp_path, args):
         # a numpy warning on the way to the error would be printed

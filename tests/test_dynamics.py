@@ -28,6 +28,7 @@ from graphnls import (
     stationary_state,
     step_crank_nicolson,
 )
+from graphnls import dynamics
 
 M = 6.0
 
@@ -194,6 +195,66 @@ class TestMidpointIteration:
         (a, ta), (b, tb) = runs
         assert np.array_equal(a.values, b.values)
         assert all(np.array_equal(ta.columns[k], tb.columns[k]) for k in ta.columns)
+
+
+def _same_bits(a, b):
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def _solve_columns(monkeypatch):
+    """Column counts of every dynamics.solve_banded call from now on."""
+    columns = []
+    solve_banded = dynamics.solve_banded
+
+    def counted(*args, **kwargs):
+        columns.append(args[2].shape[1])
+        return solve_banded(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "solve_banded", counted)
+    return columns
+
+
+class TestEdgeSymmetricSector:
+    """An edge-symmetric state steps on one edge row; forcing the E-row
+    path (_edge_symmetric always False) must give the same bits."""
+
+    @pytest.mark.parametrize("dt", [1e-3, -1e-3])
+    def test_evolve_matches_the_full_path(self, newton_512, monkeypatch, dt):
+        st, _ = newton_512
+        config = EvolutionConfig(dt=dt, t_final=0.2, observe_every=5)
+        columns = _solve_columns(monkeypatch)
+        a, ta = evolve(st, config)
+        assert set(columns) == {1}
+        monkeypatch.setattr(dynamics, "_edge_symmetric", lambda values: False)
+        columns.clear()
+        b, tb = evolve(st, config)
+        assert set(columns[1:]) == {st.spec.edge_count}
+        assert _same_bits(a.values, b.values)
+        assert ta.columns.keys() == tb.columns.keys()
+        assert all(_same_bits(ta.columns[k], tb.columns[k]) for k in ta.columns)
+
+    def test_step_with_a_start_matches_the_full_path(self, newton_512, monkeypatch):
+        st, _ = newton_512
+        start = 1.5 * step_crank_nicolson(st, 1e-3).values - 0.5 * st.values
+        columns = _solve_columns(monkeypatch)
+        a = step_crank_nicolson(st, 1e-3, start=start)
+        assert set(columns) == {1}
+        monkeypatch.setattr(dynamics, "_edge_symmetric", lambda values: False)
+        b = step_crank_nicolson(st, 1e-3, start=start)
+        assert _same_bits(a.values, b.values)
+
+    def test_one_ulp_off_on_one_edge_takes_the_full_path(self, newton_512, monkeypatch):
+        st, _ = newton_512
+        values = st.values.copy()
+        values[2, 100] = np.nextafter(values[2, 100].real, np.inf) + 1j * values[2, 100].imag
+        off = GraphState(st.spec, values)
+        columns = _solve_columns(monkeypatch)
+        # each call's first solve is its solver's vertex column
+        evolve(off, EvolutionConfig(dt=1e-3, t_final=0.01))
+        assert set(columns[1:]) == {st.spec.edge_count}
+        columns.clear()
+        step_crank_nicolson(st, 1e-3, start=values)
+        assert set(columns[1:]) == {st.spec.edge_count}
 
 
 class TestStructure:
