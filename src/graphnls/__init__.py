@@ -9,18 +9,7 @@ the saddle character of the unique stationary state (landscape).
 
 __version__ = "0.1.0"
 
-from .errors import (
-    AliasingError,
-    ContinuityError,
-    DegenerateStateError,
-    DomainError,
-    GraphNLSError,
-    OffsetError,
-    ProbeError,
-    StepFailureError,
-    TruncationError,
-    ZeroEdgeMassError,
-)
+from .errors import DomainError, GraphNLSError
 from .graph_core import (
     CONTINUITY_TOL,
     GraphSpec,

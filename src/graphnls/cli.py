@@ -27,7 +27,7 @@ from . import __version__
 from .acceptance import _Battery
 from .dynamics import (EvolutionConfig, discrete_stationary_state,
                        evolve, measure_omega)
-from .errors import DomainError, GraphNLSError, StepFailureError
+from .errors import DomainError, GraphNLSError
 from .graph_core import GraphSpec, state_columns, table_json, write_csv
 from .landscape import (
     deposit_perturbation,
@@ -321,11 +321,7 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
     evo = EvolutionConfig(dt=config.dt, t_final=config.t_final,
                           observe_every=args.observe_every).require_phase_fit()
     state = _named_state(args.initial, config, args)
-    try:
-        final, trace = evolve(state, evo)
-    except StepFailureError as exc:
-        print(f"evolution failed: {exc}", file=sys.stderr)
-        return 1
+    final, trace = evolve(state, evo)
     summary = {
         "initial": args.initial,
         "measured_omega": measure_omega(trace),

@@ -24,18 +24,14 @@ the recorded phase arg<Psi(0), Psi(t)> grows linearly with slope omega.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import solve_banded
 
-from .errors import (
-    AliasingError,
-    DomainError,
-    GraphNLSError,
-    StepFailureError,
-)
+from .errors import DomainError, GraphNLSError
 from .graph_core import GraphSpec, GraphState, _column_arrays, edge_masses, edge_weights
 from .operators import (_Arrowhead, _edge_sum, _laplacian_bands, _laplacian_values,
                         _symmetrized, energy, weighted_inner)
@@ -187,6 +183,16 @@ def _banded_chain(chain: np.ndarray):
     return lambda B: solve_banded((1, 1), chain, B, check_finite=False)
 
 
+@functools.lru_cache(maxsize=8)
+def _pair_weights(spec: GraphSpec) -> np.ndarray:
+    """edge_weights with each weight twice, shape (2N,): the weights of a
+    row's float64 view, where each value's re and im sit side by side.
+    Built once per grid and shared, so the array is read-only."""
+    w2 = np.repeat(edge_weights(spec), 2)
+    w2.setflags(write=False)
+    return w2
+
+
 def _edge_symmetric(values: np.ndarray) -> bool:
     """True when every edge row equals row 0 (a NaN equals nothing)."""
     values = np.asarray(values, dtype=np.complex128)
@@ -222,7 +228,7 @@ def step_crank_nicolson(
     another order).
 
     Raises DomainError for a zero or non-finite dt or a non-finite start,
-    and StepFailureError when the fixed point does not converge or an
+    and GraphNLSError when the fixed point does not converge or an
     iterate overflows (the contraction factor scales with
     dt*max|Psi|^2, so a smaller dt is the usual remedy).
     """
@@ -239,8 +245,7 @@ def step_crank_nicolson(
     rows = 1 if _edge_symmetric(vals) and (start is None or _edge_symmetric(start)) else E
     psi = vals[:rows]
     b = (-2j / dt) * psi
-    # weights of the float64 views, where each value's re and im sit side by side
-    w2 = np.repeat(edge_weights(spec), 2)
+    w2 = _pair_weights(spec)
     W = psi.copy() if start is None else np.array(start[:rows], dtype=np.complex128, order="C")
     W_next, rhs = np.empty_like(W), np.empty_like(W)
     sq = np.square(W.view(np.float64))  # re^2 and im^2 of the iterate W
@@ -263,16 +268,14 @@ def step_crank_nicolson(
             if diff <= _FIXED_POINT_TOL * max(1.0, norm):
                 return GraphState(spec, np.broadcast_to(2.0 * W - psi, vals.shape))
         else:
-            raise StepFailureError(
+            raise GraphNLSError(
                 f"midpoint fixed point did not reach tol {_FIXED_POINT_TOL:.1e} in "
                 f"{_MAX_FIXED_POINT_ITERS} iterations (last update {diff:.3e}); "
-                "try a smaller dt",
-                0,
-            )
+                "try a smaller dt")
     # a non-finite start breaks the first iteration, so it ends here
     if start is not None and not np.isfinite(start).all():
         raise DomainError("start contains non-finite values")
-    raise StepFailureError("midpoint iteration overflowed; try a smaller dt", 0)
+    raise GraphNLSError("midpoint iteration overflowed; try a smaller dt")
 
 
 def evolve(state: GraphState, config: EvolutionConfig):
@@ -325,8 +328,10 @@ def evolve(state: GraphState, config: EvolutionConfig):
             start = np.broadcast_to(start, current.values.shape)
         try:
             current = step_crank_nicolson(current, config.dt, start=start, solver=solver)
-        except StepFailureError as exc:
-            raise StepFailureError(f"step {k}: {exc}", k) from None
+        except DomainError:
+            raise
+        except GraphNLSError as exc:
+            raise GraphNLSError(f"step {k}: {exc}") from None
         past = [current.values[:rows], *past[:5]]
         if k % config.observe_every == 0 or k == n_steps:
             recorder.observe(k * config.dt, current, energy(current).total,
@@ -342,7 +347,7 @@ def phase_slope(trace: FlowTrace) -> float:
     phases = np.unwrap(trace.vertex_phase)
     steps = np.abs(np.diff(phases))
     if steps.size and steps.max() > 0.95 * np.pi:
-        raise AliasingError(
+        raise GraphNLSError(
             "phase advances close to pi per sample; decrease dt*observe_every"
         )
     return float(np.polyfit(trace.times, phases, 1)[0])

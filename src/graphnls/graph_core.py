@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContinuityError, DegenerateStateError, DomainError
+from .errors import DomainError, GraphNLSError
 
 # Vertex values within this of each other count as continuous.
 CONTINUITY_TOL = 1e-8
@@ -110,9 +110,8 @@ def vertex_defect(state: GraphState) -> float:
 def require_continuity(state: GraphState) -> None:
     defect = vertex_defect(state)
     if defect > CONTINUITY_TOL:
-        raise ContinuityError(
-            f"vertex values disagree by {defect:.3e} (tol {CONTINUITY_TOL:.1e})", defect
-        )
+        raise GraphNLSError(
+            f"vertex values disagree by {defect:.3e} (tol {CONTINUITY_TOL:.1e})")
 
 
 @functools.lru_cache(maxsize=8)
@@ -147,7 +146,7 @@ def rescale_mass(state: GraphState, target_mass: float) -> GraphState:
         raise DomainError(f"target mass must be positive, got {target_mass}")
     m = mass(state)
     if m == 0.0:
-        raise DegenerateStateError("cannot rescale the zero state to positive mass")
+        raise GraphNLSError("cannot rescale the zero state to positive mass")
     if m == math.inf:
         raise DomainError("the state's mass overflows, so it cannot be rescaled")
     return GraphState(state.spec, state.values * np.sqrt(target_mass / m))

@@ -28,13 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.linalg
 
-from .errors import (
-    DomainError,
-    GraphNLSError,
-    ProbeError,
-    TruncationError,
-    ZeroEdgeMassError,
-)
+from .errors import DomainError, GraphNLSError
 from .graph_core import (
     GraphSpec,
     GraphState,
@@ -105,7 +99,7 @@ def comparison_sesquisoliton(state: GraphState):
         )
     masses = edge_masses(state)
     if np.any(masses == 0.0):
-        raise ZeroEdgeMassError(
+        raise GraphNLSError(
             "an edge carries zero mass, so no sesquisoliton matches it; "
             "the energy bound for such configurations is energy_infimum(M)"
         )
@@ -208,7 +202,7 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
     come out positive and strictly decreasing, demonstrating a
     minimizing sequence with no minimizer.  Requires the soliton peak
     to stay at least 5 widths (width = 4/m2) from the far boundary,
-    otherwise a TruncationError reports the admissible m1 floor.
+    otherwise a DomainError reports the admissible m1 floor.
     """
     m1s = _param_values("m1_values", m1_values, descending=True)
     L = spec.truncation_length
@@ -218,12 +212,10 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
             # Leading-order offset for small m1 is (4/M) log(M/m1), so
             # the admissible floor is roughly M exp(-(M L - 20)/4).
             floor = M * math.exp(-(M * L - 20.0) / 4.0)
-            raise TruncationError(
+            raise DomainError(
                 f"m1 = {m1} pushes the soliton peak too close to the "
                 f"truncation boundary L = {L}; smallest admissible m1 is "
-                f"about {floor:.3e}",
-                floor,
-            )
+                f"about {floor:.3e}")
     closed, offsets, discrete = _sesqui_energies(M, m1s, spec)
     gaps = discrete - energy_infimum(M)
     if not np.all(gaps > 0):
@@ -249,7 +241,7 @@ def hessian_probe(center: GraphState, direction: GraphState, epsilon: float) -> 
     Returns (E(center + eps d) + E(center - eps d) - 2 E(center)) / eps^2
     with the probe states center +- eps d rescaled back to the center's
     mass first, so the value estimates the curvature of the energy
-    restricted to the constraint sphere.  Raises ProbeError when the
+    restricted to the constraint sphere.  Raises GraphNLSError when the
     rescaling moves the mass by more than 10%, which is where the
     quadratic reading of the result stops being meaningful.  Raises
     DomainError for a direction on another grid.
@@ -268,7 +260,7 @@ def hessian_probe(center: GraphState, direction: GraphState, epsilon: float) -> 
         raw = GraphState(center.spec, center.values + sign * epsilon * direction.values)
         m_raw = mass(raw)
         if abs(m_raw / M0 - 1.0) > 0.1:
-            raise ProbeError(
+            raise GraphNLSError(
                 f"epsilon = {epsilon} moves the mass by "
                 f"{abs(m_raw / M0 - 1.0):.1%}; the probe is not meaningful "
                 "beyond 10%"

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg.lapack import zgttrf, zgttrs
 
-from .errors import DegenerateStateError, DomainError
+from .errors import DomainError, GraphNLSError
 from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_continuity
 
 
@@ -162,7 +162,7 @@ def apply_laplacian(state: GraphState) -> GraphState:
     """Kirchhoff Laplacian with the natural far end, as in energy_gradient.
 
     Symmetric and negative semidefinite in the trapezoid inner product.
-    Raises ContinuityError if the state is not vertex continuous.
+    Raises GraphNLSError if the state is not vertex continuous.
     """
     require_continuity(state)
     vals = _symmetrized(state.values)
@@ -236,7 +236,7 @@ def best_omega(state: GraphState, gradient: GraphState | None = None,
     """
     m = mass(state) if state_mass is None else state_mass
     if m == 0.0:
-        raise DegenerateStateError("best_omega is undefined for the zero state")
+        raise GraphNLSError("best_omega is undefined for the zero state")
     if gradient is None:
         gradient = energy_gradient(state)
     elif gradient.spec != state.spec:

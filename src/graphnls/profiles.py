@@ -31,7 +31,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DomainError, OffsetError, TruncationError
+from .errors import DomainError
 from .graph_core import GraphSpec, GraphState
 
 _OFFSET_EDGE_SLACK = 1e-14
@@ -74,7 +74,7 @@ def solve_offset(m1: float, m2: float) -> float:
         raise DomainError(f"masses must be positive and finite, got m1={m1}, m2={m2}")
     ratio = m2 / (2.0 * m1)
     if ratio < 1.0 - _OFFSET_EDGE_SLACK:
-        raise OffsetError(
+        raise DomainError(
             f"no continuous matching exists for m1={m1}, m2={m2}: needs m2 >= 2*m1"
         )
     # Rounding can land a hair below 1 at the degenerate corner, where the
@@ -110,7 +110,7 @@ def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
     a distance offset from the vertex and edge 2 holds the monotone far
     tail.  Swapping edges 1 and 2 gives the mirror state with the same
     energy; this constructor fixes the peak on edge 1.  A peak beyond
-    the edge's end, offset > L, is a TruncationError.
+    the edge's end, offset > L, is a DomainError.
     """
     if spec.edge_count != 3:
         raise DomainError(
@@ -122,12 +122,10 @@ def sesquisoliton(params: SesquiParams, spec: GraphSpec) -> GraphState:
         # with exp(-z), which underflows where cosh would overflow
         z = 0.25 * params.m2 * L
         floor = params.m2 * math.exp(-z) / (1.0 + math.exp(-2.0 * z))
-        raise TruncationError(
+        raise DomainError(
             f"m1 = {params.m1} puts the sesquisoliton's peak at offset "
             f"{params.offset:.6g}, beyond the edge length L = {L}; smallest "
-            f"m1 that fits at m2 = {params.m2} is about {floor:.3e}",
-            floor,
-        )
+            f"m1 that fits at m2 = {params.m2} is about {floor:.3e}")
     x = spec.coordinates()
     e0 = half_soliton(params.m1, spec)
     # Straightened coordinate: edge 1 is xi = -x, edge 2 is xi = +x.

@@ -229,7 +229,7 @@ class TestEvolve:
             r = run(["evolve", "--mass", "1e3", "--points", "64", "--t-final", "0.02"],
                     tmp_path)
         assert r.returncode == 1
-        assert r.stderr.startswith("evolution failed: step 1: ")
+        assert r.stderr.startswith("check failure: step 1: ")
         assert r.stderr.rstrip().endswith("try a smaller dt")
 
     def test_short_trace_is_rejected_before_the_run(self, run, tmp_path, monkeypatch):
@@ -494,6 +494,25 @@ class TestEntryPoint:
                 elif isinstance(node, ast.Raise) and isinstance(node.exc, ast.Name):
                     used.add(node.exc.id)
         assert sorted(defined - used) == []
+
+    def test_every_error_class_has_its_own_exit_code(self):
+        # an error class that cli.main does not catch by name exits with
+        # its base class's code, so it tells the caller nothing new
+        package = Path(graphnls.__file__).parent
+        defined = {node.name for node in ast.parse((package / "errors.py").read_text()).body
+                   if isinstance(node, ast.ClassDef)}
+        main = next(node for node in ast.walk(ast.parse((package / "cli.py").read_text()))
+                    if isinstance(node, ast.FunctionDef) and node.name == "main")
+        codes = {}
+        for handler in (h for node in ast.walk(main) if isinstance(node, ast.Try)
+                        for h in node.handlers):
+            returns = [node.value.value for node in ast.walk(handler)
+                       if isinstance(node, ast.Return)]
+            assert isinstance(handler.type, ast.Name) and len(returns) == 1
+            codes[handler.type.id] = returns[0]
+        assert sorted(codes) == sorted(defined)
+        assert len(set(codes.values())) == len(codes)
+        assert 0 not in codes.values()
 
 
 class TestConfigPlumbing:

@@ -1,18 +1,17 @@
 """Crank-Nicolson evolution: conservation, order, reversal, failure modes."""
 
+import re
 import warnings
 
 import numpy as np
 import pytest
 
 from graphnls import (
-    AliasingError,
     DomainError,
     EvolutionConfig,
+    GraphNLSError,
     GraphSpec,
     GraphState,
-    StepFailureError,
-    TruncationError,
     best_omega,
     discrete_stationary_state,
     el_residual,
@@ -314,9 +313,10 @@ class TestNewtonRefinement:
 class TestFailureModes:
     def test_huge_step_fails_loudly(self, coarse_spec):
         st, _ = discrete_stationary_state(M, coarse_spec)
-        with pytest.raises(StepFailureError) as exc:
+        with pytest.raises(GraphNLSError, match=r"^step \d+: .*try a smaller dt$") as exc:
             evolve(st, EvolutionConfig(dt=1.0, t_final=2.0))
-        assert exc.value.step_index >= 1
+        assert type(exc.value) is GraphNLSError
+        assert int(re.match(r"step (\d+): ", str(exc.value))[1]) >= 1
 
     def test_overflowing_iterate_fails_the_step_silently(self):
         # at M = 1000 the midpoint iteration diverges within the first step
@@ -324,10 +324,22 @@ class TestFailureModes:
         st, _ = stationary_state(1e3, spec)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            with pytest.raises(StepFailureError) as exc:
+            with pytest.raises(GraphNLSError, match=r"^step 1: midpoint iteration overflowed") as exc:
                 evolve(st, EvolutionConfig(dt=1e-3, t_final=0.01))
-        assert exc.value.step_index == 1
+        assert type(exc.value) is GraphNLSError
         assert "try a smaller dt" in str(exc.value)
+
+    def test_domain_error_inside_a_step_keeps_its_class(self, coarse_spec, monkeypatch):
+        # only a run failure gets the "step k: " prefix; bad input still exits 2
+        def bad_start(*args, **kwargs):
+            raise DomainError("start contains non-finite values")
+
+        st, _ = discrete_stationary_state(M, coarse_spec)
+        monkeypatch.setattr(dynamics, "step_crank_nicolson", bad_start)
+        with pytest.raises(DomainError) as exc:
+            evolve(st, EvolutionConfig(dt=1e-3, t_final=0.01))
+        assert type(exc.value) is DomainError
+        assert str(exc.value) == "start contains non-finite values"
 
     def test_undersampled_phase_detected(self):
         # omega = 1, so 3 time units between samples advances the phase
@@ -336,8 +348,9 @@ class TestFailureModes:
         st, _ = discrete_stationary_state(M, spec)
         _, trace = evolve(st, EvolutionConfig(dt=1e-2, t_final=9.0,
                                               observe_every=300))
-        with pytest.raises(AliasingError):
+        with pytest.raises(GraphNLSError, match="phase advances close to pi per sample") as exc:
             measure_omega(trace)
+        assert type(exc.value) is GraphNLSError
 
     def test_flow_stalls_at_the_stationary_point(self, coarse_spec):
         st, _ = discrete_stationary_state(M, coarse_spec)
@@ -350,9 +363,10 @@ class TestFailureModes:
 
     def test_short_edges_rejected_for_small_m1(self):
         spec = GraphSpec(3, 5.0, 128)
-        with pytest.raises(TruncationError) as exc:
+        with pytest.raises(DomainError, match="pushes the soliton peak too close") as exc:
             minimizing_sequence_demo(M, [1.0, 0.1], spec)
-        assert exc.value.m1_floor == pytest.approx(0.4925, abs=1e-3)
+        floor = float(re.search(r"smallest admissible m1 is about (\S+)$", str(exc.value))[1])
+        assert floor == pytest.approx(0.4925, abs=1e-3)
 
 
 class TestPhaseSlope:

@@ -10,11 +10,10 @@ from scipy.integrate import quad
 from graphnls import (
     CONTINUITY_TOL,
     apply_laplacian,
-    ContinuityError,
     CurveScan,
-    DegenerateStateError,
     DomainError,
     FlowTrace,
+    GraphNLSError,
     GraphSpec,
     GraphState,
     edge_masses,
@@ -66,8 +65,9 @@ class TestGraphState:
         vals = np.ones((3, coarse_spec.points_per_edge), dtype=complex)
         vals[2, 0] = 2.0
         st = GraphState(coarse_spec, vals)
-        with pytest.raises(ContinuityError):
+        with pytest.raises(GraphNLSError, match="vertex values disagree by 1.000e[+]00") as exc:
             apply_laplacian(st)
+        assert type(exc.value) is GraphNLSError
 
     def test_continuous_state_accepted(self, coarse_spec):
         st = exp_state(coarse_spec)
@@ -124,8 +124,9 @@ class TestRescale:
         assert np.allclose(ratio, math.sqrt(2.0), rtol=1e-12)
 
     def test_zero_state_rejected(self, coarse_spec):
-        with pytest.raises(DegenerateStateError):
+        with pytest.raises(GraphNLSError, match="cannot rescale the zero state") as exc:
             rescale_mass(GraphState(coarse_spec, np.zeros((3, 128))), 6.0)
+        assert type(exc.value) is GraphNLSError
 
     def test_nonpositive_target_rejected(self, coarse_spec):
         with pytest.raises(DomainError):

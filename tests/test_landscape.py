@@ -10,9 +10,8 @@ from graphnls import dynamics, graph_core, landscape, operators
 from graphnls import (
     DomainError,
     GraphSpec,
+    GraphNLSError,
     GraphState,
-    ProbeError,
-    ZeroEdgeMassError,
     best_omega,
     comparison_sesquisoliton,
     deposit_perturbation,
@@ -113,8 +112,9 @@ class TestProbes:
         assert got == pytest.approx(-M / 8.0, abs=1e-6)
 
     def test_probe_rejects_huge_epsilon(self, center):
-        with pytest.raises(ProbeError):
+        with pytest.raises(GraphNLSError, match="moves the mass by .*not meaningful") as exc:
             hessian_probe(center, center, 0.5)
+        assert type(exc.value) is GraphNLSError
 
     def test_probe_rejects_bad_arguments(self, center):
         with pytest.raises(DomainError):
@@ -169,8 +169,9 @@ class TestComparisonMap:
         vals[1] = vals[0]
         # edge 2 stays zero; all vertex values are 0, so continuity holds
         st = GraphState(coarse_spec, vals)
-        with pytest.raises(ZeroEdgeMassError):
+        with pytest.raises(GraphNLSError, match="an edge carries zero mass") as exc:
             comparison_sesquisoliton(st)
+        assert type(exc.value) is GraphNLSError
 
 
 class TestPerturbations:

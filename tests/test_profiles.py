@@ -1,6 +1,7 @@
 """Soliton families checked against quadrature and bisection oracles."""
 
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,9 +10,7 @@ from scipy.integrate import quad
 from graphnls import (
     DomainError,
     GraphSpec,
-    OffsetError,
     SesquiParams,
-    TruncationError,
     energy,
     energy_infimum,
     energy_sesqui_closed,
@@ -106,7 +105,7 @@ class TestOffset:
         assert y == (4.0 / 3.4) * math.acosh(3.4 / (2.0 * 1e-308))
 
     def test_inadmissible_masses_rejected(self):
-        with pytest.raises(OffsetError):
+        with pytest.raises(DomainError, match="no continuous matching exists .* needs m2 >= 2.m1"):
             solve_offset(3.0, 1.0)
         with pytest.raises(DomainError):
             solve_offset(-1.0, 5.0)
@@ -120,7 +119,7 @@ class TestSesquisoliton:
         assert p.offset == solve_offset(1.0, 5.0)
         with pytest.raises(TypeError):
             SesquiParams(m1=1.0, m2=5.0, offset=0.1)
-        with pytest.raises(OffsetError):
+        with pytest.raises(DomainError, match="no continuous matching exists .* needs m2 >= 2.m1"):
             SesquiParams(1.0, 1.0)
 
     def test_continuous_at_vertex(self):
@@ -149,13 +148,14 @@ class TestSesquisoliton:
         spec = GraphSpec(3, 30.0, 64)
         params = SesquiParams.solve(m1, 3.4)
         assert params.offset > 30.0
-        with pytest.raises(TruncationError) as exc:
+        with pytest.raises(DomainError, match="peak at offset .* beyond the edge length") as exc:
             sesquisoliton(params, spec)
-        assert isinstance(exc.value, DomainError)
-        # the floor puts the peak at the far end, x = L
-        floor = exc.value.m1_floor
-        assert solve_offset(floor, 3.4) == pytest.approx(30.0, rel=1e-9)
-        sesquisoliton(SesquiParams.solve(floor * (1.0 + 1e-9), 3.4), spec)
+        # the floor, printed to 4 digits, puts the peak at the far end, x = L
+        floor = float(re.search(r"fits at m2 = 3.4 is about (\S+)$", str(exc.value))[1])
+        assert solve_offset(floor, 3.4) == pytest.approx(30.0, rel=1e-4)
+        sesquisoliton(SesquiParams.solve(floor * (1.0 + 1e-3), 3.4), spec)
+        with pytest.raises(DomainError, match="beyond the edge length"):
+            sesquisoliton(SesquiParams.solve(floor * (1.0 - 1e-3), 3.4), spec)
 
 
 class TestClosedEnergy:
