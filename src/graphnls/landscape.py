@@ -324,9 +324,7 @@ def _sobolev_direction(state: GraphState, r: np.ndarray, state_mass: float,
                        resolvent: _Arrowhead) -> np.ndarray:
     """-(I - L)^{-1} r, projected onto the tangent space of the mass
     sphere at state: d -= Re<state, d> / state_mass * state."""
-    d = np.empty_like(r)
-    resolvent.solve(r[:, 0].mean(), r[:, 1:], d)
-    np.negative(d, out=d)
+    d = -resolvent.solve(r[:, 0].mean(), r[:, 1:])
     w = edge_weights(state.spec)
     psi = state.values
     d -= (float((w * (psi.real * d.real + psi.imag * d.imag)).sum()) / state_mass) * psi

@@ -131,20 +131,20 @@ class _Arrowhead:
         self._denom = (shift - bands[1, 0]) - bands[0, 1] * self._z[0]
         self.solves = 0
 
-    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray, out: np.ndarray) -> None:
-        """Write the solution into out, shape (E, N): the vertex value
-        in column 0 and the per-edge chains of length N-1 after it.
-        One-row rhs_edges and out, (1, N-1) and (1, N), are an
-        edge-symmetric system: the row is bit for bit each row of the
-        E-row solve.  rhs_edges must be finite; the result is not checked."""
+    def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray) -> np.ndarray:
+        """The solution, a new (rows, N) array for rhs_edges of shape
+        (rows, N-1): the vertex value in column 0 and the per-edge chains
+        after it.  A one-row rhs_edges is an edge-symmetric system: its
+        row is bit for bit each row of the E-row solve.  rhs_edges must
+        be finite; the result is not checked."""
         self.solves += 1
         Y = self._chain_solve(rhs_edges.T)
         heads = _edge_sum(Y[0, :], self._edge_count)
         v = (rhs_vertex + self._vertex_coupling * heads) / self._denom
+        out = np.empty((Y.shape[1], Y.shape[0] + 1), complex)
         out[:, 0] = v
-        chains = out[:, 1:]
-        np.multiply(self._z, v, out=chains)
-        chains += Y.T
+        out[:, 1:] = self._z * v + Y.T
+        return out
 
 
 def _lapack_chain(chain: np.ndarray):

@@ -7,6 +7,7 @@ the observed values, so a red test points straight at the number that
 missed its window.
 """
 
+import math
 from dataclasses import replace
 
 import pytest
@@ -114,3 +115,14 @@ def test_a_stalled_flow_fails_its_criterion(monkeypatch, criterion):
     (error,) = [r for r in battery.results if r.name == f"criterion{criterion}_error"]
     assert not error.passed
     assert "gradient flow stalled" in error.expected
+
+
+def test_a_start_already_escaped_fails_the_time_ratio_without_a_crash():
+    # at 16 points both shift starts lie below the escape threshold, so
+    # the fraction-0.02 flow crosses it at iteration 0
+    battery = _Battery(RunConfig(points=16))
+    battery.run_criterion(9)
+    assert "criterion9_error" not in [r.name for r in battery.results]
+    (ratio,) = [r for r in battery.results if r.name == "escape_time_ratio"]
+    assert not ratio.passed
+    assert math.isnan(ratio.observed)

@@ -129,8 +129,7 @@ class TestOneMatrix:
     def test_arrowhead_inverts_the_shifted_laplacian(self, rng, shift, factor, length, points):
         spec = GraphSpec(3, length, points)
         rhs = state_alive_at_far_end(spec, rng).values
-        W = np.empty_like(rhs)
-        _Arrowhead(spec, shift, factor).solve(rhs[:, 0].mean(), rhs[:, 1:], W)
+        W = _Arrowhead(spec, shift, factor).solve(rhs[:, 0].mean(), rhs[:, 1:])
         residual = shift * W - _laplacian_values(W, spec) - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -149,10 +148,25 @@ class TestOneMatrix:
         for _ in range(8):
             row = rng.standard_normal(points) + 1j * rng.standard_normal(points)
             rhs = np.tile(row, (edges, 1))
-            full, one = np.empty_like(rhs), np.empty((1, points), complex)
-            solver.solve(row[0], rhs[:, 1:], full)
-            solver.solve(row[0], rhs[:1, 1:], one)
+            full = solver.solve(row[0], rhs[:, 1:])
+            one = solver.solve(row[0], rhs[:1, 1:])
             assert np.broadcast_to(one, full.shape).tobytes() == full.tobytes()
+
+    # the stepper keeps each iterate as the next one's input, so a solve
+    # must hand back a new array and never touch an earlier result
+    @pytest.mark.parametrize("shift, factor", [(-2j / 1e-3, _banded_chain),
+                                               (1.0, _lapack_chain)],
+                             ids=["stepper", "flow"])
+    def test_each_solve_returns_a_new_array(self, rng, shift, factor):
+        spec = GraphSpec(3, 5.0, 257)
+        solver = _Arrowhead(spec, shift, factor)
+        first_rhs, second_rhs = (state_alive_at_far_end(spec, rng).values for _ in range(2))
+        first = solver.solve(first_rhs[:, 0].mean(), first_rhs[:, 1:])
+        kept = first.copy()
+        second = solver.solve(second_rhs[:, 0].mean(), second_rhs[:, 1:])
+        assert not np.shares_memory(first, second)
+        assert first.tobytes() == kept.tobytes()
+        assert not np.array_equal(first, second)
 
 
 class TestEnergy:
