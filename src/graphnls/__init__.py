@@ -41,7 +41,6 @@ from .operators import (
     el_residual,
     energy,
     energy_gradient,
-    kinetic_quadratic_form,
     weighted_inner,
     weighted_norm,
 )
@@ -51,7 +50,6 @@ from .dynamics import (
     discrete_stationary_state,
     evolve,
     measure_omega,
-    phase_slope,
     step_crank_nicolson,
 )
 from .landscape import (

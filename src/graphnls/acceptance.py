@@ -120,45 +120,33 @@ class _Battery:
         self.note_energy(trace.energies.min())
         return trace
 
+    def check(self, name, criterion, observed, expected, tolerance, passed):
+        """Record one CheckResult, observed as a float and passed as a bool."""
+        self.results.append(CheckResult(name, criterion, float(observed), expected,
+                                        tolerance, bool(passed)))
+
     def check_rel(self, name, criterion, observed, target, rel_tol):
-        err = abs(observed - target) / abs(target)
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f"{target:.12g} (relative)", rel_tol, bool(err <= rel_tol)))
+        self.check(name, criterion, observed, f"{target:.12g} (relative)", rel_tol,
+                   abs(observed - target) / abs(target) <= rel_tol)
 
     def check_abs(self, name, criterion, observed, target, tol):
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f"{target:.12g}", tol, bool(abs(observed - target) <= tol)))
+        self.check(name, criterion, observed, f"{target:.12g}", tol,
+                   abs(observed - target) <= tol)
 
     def check_range(self, name, criterion, observed, lo, hi):
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f"[{lo:g}, {hi:g}]", None, bool(lo <= observed <= hi)))
+        self.check(name, criterion, observed, f"[{lo:g}, {hi:g}]", None, lo <= observed <= hi)
 
     def check_below(self, name, criterion, observed, bound):
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f"< {bound:g}", None, bool(observed < bound)))
+        self.check(name, criterion, observed, f"< {bound:g}", None, observed < bound)
 
     def check_at_most(self, name, criterion, observed, bound):
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f"<= {bound:g}", bound, bool(observed <= bound)))
+        self.check(name, criterion, observed, f"<= {bound:g}", bound, observed <= bound)
 
     def check_at_least(self, name, criterion, observed, bound):
-        self.results.append(CheckResult(
-            name, criterion, float(observed),
-            f">= {bound:g}", None, bool(observed >= bound)))
+        self.check(name, criterion, observed, f">= {bound:g}", None, observed >= bound)
 
     def check_bool(self, name, criterion, ok, description):
-        self.results.append(CheckResult(
-            name, criterion, float(bool(ok)), description, None, bool(ok)))
-
-    def fail_exception(self, criterion, exc):
-        self.results.append(CheckResult(
-            f"criterion{criterion}_error", criterion, math.nan,
-            f"no exception, got {type(exc).__name__}: {exc}", None, False))
+        self.check(name, criterion, ok, description, None, ok)
 
     # -- criteria -------------------------------------------------------
 
@@ -361,7 +349,8 @@ class _Battery:
         try:
             getattr(self, f"criterion_{number}")()
         except Exception as exc:  # keep the battery going; report the failure
-            self.fail_exception(number, exc)
+            self.check(f"criterion{number}_error", number, math.nan,
+                       f"no exception, got {type(exc).__name__}: {exc}", None, False)
         self.criteria.append({"criterion": number,
                               "seconds": time.perf_counter() - start,
                               "grids": [asdict(spec) for spec in self._grids]})

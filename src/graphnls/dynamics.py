@@ -328,8 +328,9 @@ def evolve(state: GraphState, config: EvolutionConfig):
     return current, recorder.trace()
 
 
-def phase_slope(trace: FlowTrace) -> float:
-    """Signed least-squares slope of the unwrapped phase vs time."""
+def measure_omega(trace: FlowTrace) -> float:
+    """|slope| of the least-squares line through the unwrapped phase vs
+    time: the standing-wave frequency."""
     if len(trace.times) < 3:
         raise DomainError("phase fit needs a trace with at least 3 samples")
     phases = np.unwrap(trace.vertex_phase)
@@ -338,12 +339,7 @@ def phase_slope(trace: FlowTrace) -> float:
         raise GraphNLSError(
             "phase advances close to pi per sample; decrease dt*observe_every"
         )
-    return float(np.polyfit(trace.times, phases, 1)[0])
-
-
-def measure_omega(trace: FlowTrace) -> float:
-    """|slope| of the unwrapped phase: the standing-wave frequency."""
-    return abs(phase_slope(trace))
+    return abs(float(np.polyfit(trace.times, phases, 1)[0]))
 
 
 def discrete_stationary_state(M: float, spec: GraphSpec):

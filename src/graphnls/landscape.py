@@ -38,7 +38,8 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import _Arrowhead, _lapack_chain, best_omega, energy, energy_gradient
+from .operators import (_Arrowhead, _lapack_chain, best_omega, energy, energy_gradient,
+                        weighted_norm)
 from .profiles import (
     SesquiParams,
     _scaled_sech,
@@ -68,7 +69,6 @@ class CurveScan:
     param_values: np.ndarray
     closed_energy: np.ndarray
     discrete_energy: np.ndarray
-    metadata: dict = field(default_factory=dict)
     extras: dict = field(default_factory=dict)
 
     def __post_init__(self):
@@ -158,7 +158,6 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
         param_values=m1s,
         closed_energy=closed,
         discrete_energy=discrete,
-        metadata=_grid_metadata(M, spec),
         extras={"offset": offsets},
     )
 
@@ -189,7 +188,6 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
         param_values=lams,
         closed_energy=closed,
         discrete_energy=discrete,
-        metadata=_grid_metadata(M, spec),
         extras={"mass": masses},
     )
 
@@ -230,7 +228,6 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
         param_values=m1s,
         closed_energy=closed,
         discrete_energy=discrete,
-        metadata=_grid_metadata(M, spec),
         extras={"offset": offsets, "gap": gaps},
     )
 
@@ -351,8 +348,10 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     step must be finite and positive, grad_tol finite and nonnegative;
     anything else is a DomainError.
 
-    The flow stops when ||r|| drops to grad_tol ("converged"), when
-    the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), after
+    The flow stops when ||r|| drops to grad_tol * min(1, ||grad E(Psi0)||),
+    with grad E(Psi0) the start's unprojected gradient ("converged"), so
+    a start whose gradient is small, as at a tiny mass, still descends;
+    when the energy reaches 0.99 * (-M0^3/96) ("near_infimum"), after
     max_iters accepted steps ("max_iters"), or when backtracking halves
     s below 1e-12 ("stalled", as at a critical point of the discrete
     energy).  The infimum -M0^3/96 is not attained, so an escaped run
@@ -401,7 +400,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
 
     def record(it, st, e_total, em):
         """Trace row of an accepted state with edge masses em; returns
-        the projected gradient r, the mass and ||r||."""
+        the projected gradient r, the mass, ||r|| and the gradient."""
         g = energy_gradient(st)
         m = float(em.sum())
         r = g.values + best_omega(st, g, m) * st.values
@@ -409,17 +408,18 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
         flat = int(np.argmax(np.abs(st.values)))
         recorder.observe(it, st, e_total, em, grad_norm=pg,
                          peak_edge=flat // N, peak_coordinate=(flat % N) * h)
-        return r, m, pg
+        return r, m, pg, g
 
     # a trial that overflows is rejected below, so numpy stays silent;
     # one errstate for the whole flow costs nothing per trial
     with np.errstate(over="ignore", invalid="ignore"):
         current = state0
         e_current = energy(current).total
-        r, m, pg = record(0, current, e_current, em0)
+        r, m, pg, g = record(0, current, e_current, em0)
+        tol = grad_tol * min(1.0, weighted_norm(g))
         s = step
         for it in range(1, max_iters + 1):
-            if pg <= grad_tol or e_current <= near_infimum:
+            if pg <= tol or e_current <= near_infimum:
                 break
             d = _sobolev_direction(current, r, m, resolvent)
             while not stalled:
@@ -438,8 +438,8 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
                 break
             current, e_current = trial, e_trial
             s = min(s * 1.2, 10.0 * step)
-            r, m, pg = record(it, current, e_current, edge_masses(current))
-    if pg <= grad_tol:
+            r, m, pg, _ = record(it, current, e_current, edge_masses(current))
+    if pg <= tol:
         reason = "converged"
     elif e_current <= near_infimum:
         reason = "near_infimum"
@@ -603,11 +603,3 @@ def random_vertex_continuous_state(
         state = rescale_mass(state, target_mass)
     return state
 
-
-def _grid_metadata(M: float, spec: GraphSpec) -> dict:
-    return {
-        "M": M,
-        "edges": spec.edge_count,
-        "length": spec.truncation_length,
-        "points": spec.points_per_edge,
-    }

@@ -179,21 +179,16 @@ class EnergyReport:
     mass: float
 
 
-def kinetic_quadratic_form(state: GraphState) -> float:
-    """Sum over edges of sum_j |psi(j+1)-psi(j)|^2 / h.
+def energy(state: GraphState) -> EnergyReport:
+    """Kinetic, quartic, and total energy plus mass of the state.
 
-    This is the discrete Dirichlet form; its exact gradient in the
+    The kinetic part is half the discrete Dirichlet form, the sum over
+    edges of sum_j |psi(j+1)-psi(j)|^2 / h, whose exact gradient in the
     trapezoid inner product is -2 L, with L the stencil above.
     """
-    h = state.spec.spacing
-    d = np.diff(state.values, axis=1)
-    return float((np.abs(d) ** 2).sum() / h)
-
-
-def energy(state: GraphState) -> EnergyReport:
-    """Kinetic, quartic, and total energy plus mass of the state."""
     w = edge_weights(state.spec)
-    kinetic = 0.5 * kinetic_quadratic_form(state)
+    d = np.diff(state.values, axis=1)
+    kinetic = 0.5 * float((np.abs(d) ** 2).sum() / state.spec.spacing)
     a = np.abs(state.values)
     quartic = 0.25 * float((w * a ** 4).sum())
     m = float((w * a ** 2).sum())

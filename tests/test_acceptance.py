@@ -10,10 +10,11 @@ missed its window.
 import math
 from dataclasses import replace
 
+import numpy as np
 import pytest
 
-from graphnls import acceptance
-from graphnls.acceptance import _Battery
+from graphnls import GraphNLSError, acceptance
+from graphnls.acceptance import CheckResult, _Battery
 from graphnls.cli import RunConfig
 
 
@@ -126,3 +127,38 @@ def test_a_start_already_escaped_fails_the_time_ratio_without_a_crash():
     (ratio,) = [r for r in battery.results if r.name == "escape_time_ratio"]
     assert not ratio.passed
     assert math.isnan(ratio.observed)
+
+
+def test_every_check_helper_records_one_format(monkeypatch):
+    # observed is always a float and passed a bool, whatever numpy
+    # scalar a criterion hands over; only the bounded helpers carry a
+    # tolerance
+    battery = _Battery(RunConfig(points=64))
+    battery.check_rel("rel", 1, np.float64(-0.3333), -1 / 3, 5e-4)
+    battery.check_abs("abs", 2, 2.1, 2.0, 0.2)
+    battery.check_range("range", 3, 4.6, 3.5, 4.5)
+    battery.check_below("below", 4, np.float64(-0.5), 0.0)
+    battery.check_at_most("at_most", 5, 2e-6, 1e-6)
+    battery.check_at_least("at_least", 6, -2.0, -2.255)
+    battery.check_bool("bool", 7, np.bool_(False), "a description")
+
+    def raises():
+        raise GraphNLSError("no descent")
+
+    monkeypatch.setattr(battery, "criterion_8", raises)
+    battery.run_criterion(8)
+    *checks, error = battery.results
+    assert checks == [
+        CheckResult("rel", 1, -0.3333, "-0.333333333333 (relative)", 5e-4, True),
+        CheckResult("abs", 2, 2.1, "2", 0.2, True),
+        CheckResult("range", 3, 4.6, "[3.5, 4.5]", None, False),
+        CheckResult("below", 4, -0.5, "< 0", None, True),
+        CheckResult("at_most", 5, 2e-6, "<= 1e-06", 1e-6, False),
+        CheckResult("at_least", 6, -2.0, ">= -2.255", None, True),
+        CheckResult("bool", 7, 0.0, "a description", None, False),
+    ]
+    assert (error.name, error.criterion, error.expected, error.tolerance, error.passed) == (
+        "criterion8_error", 8, "no exception, got GraphNLSError: no descent", None, False)
+    assert math.isnan(error.observed)
+    assert all(type(r.observed) is float and type(r.passed) is bool
+               for r in battery.results)

@@ -101,6 +101,22 @@ class TestScan:
         assert doc["param_name"] == "m1"
         assert len(doc["data"]["param"]) == 2
 
+    @pytest.mark.parametrize("curve, flags, param_name, metadata", [
+        ("sesqui", ["--mass", "3", "--length", "20", "--points", "128", "--m1", "0.25,0.5"],
+         "m1", {"M": 3.0, "edges": 3, "length": 20.0, "points": 128}),
+        ("dilation", ["--length", "25", "--points", "256"],
+         "lambda", {"M": 6.0, "edges": 3, "length": 25.0, "points": 256}),
+        ("minseq", ["--length", "60", "--points", "512", "--m1", "1,0.5,0.1"],
+         "m1", {"M": 6.0, "edges": 3, "length": 60.0, "points": 512}),
+    ])
+    def test_json_metadata_is_the_run_grid(self, run, tmp_path, curve, flags, param_name,
+                                           metadata):
+        r = run(["scan", curve, "--format", "json"] + flags, tmp_path)
+        assert r.returncode == 0
+        doc = json.loads((tmp_path / f"scan_{curve}.json").read_text())
+        assert doc["param_name"] == param_name
+        assert doc["metadata"] == metadata
+
     def test_bad_range_is_a_usage_error(self, run, tmp_path):
         r = run(["scan", "sesqui", "--m1", "a:b:c"] + FAST, tmp_path)
         assert r.returncode == 2

@@ -21,7 +21,6 @@ from graphnls import (
     mass,
     measure_omega,
     minimizing_sequence_demo,
-    phase_slope,
     sesquisoliton,
     SesquiParams,
     stationary_state,
@@ -374,7 +373,7 @@ class TestPhaseSlope:
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.1,
                                               observe_every=10))
-        assert phase_slope(trace) == pytest.approx(1.0, abs=5e-3)
+        assert measure_omega(trace) == pytest.approx(1.0, abs=5e-3)
 
     def test_needs_three_samples(self, newton_512):
         st, _ = newton_512
@@ -382,4 +381,4 @@ class TestPhaseSlope:
         # only 3 samples here, so this passes; 2 would not
         _, short = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.001))
         with pytest.raises(DomainError):
-            phase_slope(short)
+            measure_omega(short)

@@ -38,6 +38,7 @@ from graphnls import (
     shift_perturbation,
     stationary_state,
     vertex_defect,
+    weighted_norm,
 )
 from graphnls.operators import _Arrowhead, _lapack_chain
 
@@ -257,6 +258,20 @@ class TestDescentFlow:
         _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=3000,
                                             grad_tol=1e-6)
         assert trace.energies[-1] < e_star - 2e-3
+
+    def test_tiny_mass_start_descends_to_a_scaled_tolerance(self):
+        # at mass 1e-60 the start's gradient norm is 1.2e-34, far below
+        # grad_tol = 1e-6: an absolute stop would call the start converged
+        # after 0 iterations.  The stop scales with that norm
+        start = shift_perturbation(1e-60, GraphSpec(3, 30.0, 64), 0.01)
+        tol = 1e-6 * weighted_norm(energy_gradient(start))
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=40000,
+                                            grad_tol=1e-6)
+        assert trace.metadata["stop_reason"] == "converged"
+        assert trace.metadata["accepted_steps"] > 1000
+        grad_norm = trace.extras["grad_norm"]
+        assert grad_norm[-1] <= tol < grad_norm[-2]
+        assert trace.energies[-1] < trace.energies[0]
 
     def test_trace_records_gradient_norms(self, coarse_spec):
         start = shift_perturbation(M, coarse_spec, 0.01)
