@@ -228,7 +228,7 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
                            else ("--lambda", args.lam, args.m1))
     if unread is not None:
         raise DomainError(f"scan {curve} does not read {flag}")
-    values = _parse_values(given or _DEFAULT_RANGES[curve])
+    values = _parse_values(_DEFAULT_RANGES[curve] if given is None else given)
     if curve == "sesqui":
         scan = scan_sesqui_curve(config.mass, values, spec)
     elif curve == "dilation":
@@ -273,10 +273,12 @@ def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
 
 def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
-    kind, _, frac = args.perturbation.partition(":")
+    kind, colon, frac = args.perturbation.partition(":")
     kind = kind.strip()
+    if kind == "none" and colon:
+        raise DomainError("perturbation none takes no fraction")
     try:
-        fraction = float(frac) if frac else 0.01
+        fraction = float(frac) if colon else 0.01
     except ValueError as exc:
         raise DomainError(f"bad perturbation fraction: {frac!r}") from exc
     if kind == "none":

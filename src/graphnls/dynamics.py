@@ -7,14 +7,8 @@ linear system couples E tridiagonal edge blocks through the single
 shared vertex unknown; the arrowhead elimination of operators, shared
 with the descent flow, keeps each solve O(E*N).  A state with equal
 edge rows, such as the standing wave, keeps them equal, so it is
-stepped as one row, to the same bits as E rows.
-evolve starts each step's iteration from the past midpoints extrapolated
-to degree 4, 2.5 Psi_n - 2.5 Psi_{n-1} + 2.5 Psi_{n-3} - 2 Psi_{n-4} +
-0.5 Psi_{n-5}, which takes the standing wave from 4 solves per step
-(starting from Psi_n) to 1, and the moving sesquisoliton to about 3.2
-(N = 4096) or 3.6 (N = 512); the first five steps warm up from Psi_0,
-the linear 1.5 Psi_n - 0.5 Psi_{n-1} and the quadratic
-1.5 Psi_n - Psi_{n-2} + 0.5 Psi_{n-3}.
+stepped as one row, to the same bits as E rows.  evolve starts each
+step's iteration from the past midpoints extrapolated (see evolve).
 
 The scheme is time-symmetric, conserves mass at the fixed point, and
 keeps the energy drift O(dt^2) per unit time.  The stationary state
@@ -307,7 +301,6 @@ def evolve(state: GraphState, config: EvolutionConfig):
     recorded_solves = 0
     for k in range(1, n_steps + 1):
         if len(past) == 6:
-            # 2.5 (Psi_n - Psi_{n-1} + Psi_{n-3}) - 2 Psi_{n-4} + 0.5 Psi_{n-5}
             start = ((((past[0] - past[1]) + past[3]) * 1.25 - past[4]) * 4.0 + past[5]) * 0.5
         else:
             start = (None if len(past) == 1 else 1.5 * past[0] - 0.5 * past[1]
@@ -390,5 +383,4 @@ def discrete_stationary_state(M: float, spec: GraphSpec):
             f"stationary-state refinement did not converge to {_NEWTON_TOL:.1e} "
             f"in {_NEWTON_MAX_ITERS} iterations"
         )
-    values = np.broadcast_to(u.astype(np.complex128), (E, N)).copy()
-    return GraphState(spec, values), float(omega)
+    return GraphState(spec, np.broadcast_to(u, (E, N))), float(omega)

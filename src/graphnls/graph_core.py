@@ -71,34 +71,28 @@ class GraphSpec:
         return np.linspace(0.0, self.truncation_length, self.points_per_edge)
 
 
+@dataclass(frozen=True, eq=False)
 class GraphState:
     """Immutable complex-valued function on the discretized star graph.
 
     values[e, j] is the sample on edge e at coordinate j*h, j=0 at the
-    vertex; the constructor also takes a list of the E edge rows.  The
-    array is stored read-only; use .values.copy() to get a mutable buffer.
+    vertex; the constructor also takes a list of the E edge rows, or an
+    array in any memory order.  It keeps one C-ordered complex128 copy,
+    stored read-only; use .values.copy() to get a mutable buffer.
     """
 
-    __slots__ = ("spec", "_values")
+    spec: GraphSpec
+    values: np.ndarray
 
-    def __init__(self, spec: GraphSpec, values):
-        arr = np.asarray(values, dtype=np.complex128)
-        expected = (spec.edge_count, spec.points_per_edge)
+    def __post_init__(self):
+        arr = np.array(self.values, dtype=np.complex128, order="C")
+        expected = (self.spec.edge_count, self.spec.points_per_edge)
         if arr.shape != expected:
             raise DomainError(f"values shape {arr.shape} does not match grid {expected}")
         if not np.all(np.isfinite(arr.view(np.float64))):
             raise DomainError("state contains non-finite values")
-        arr = arr.copy()
         arr.setflags(write=False)
-        object.__setattr__(self, "spec", spec)
-        object.__setattr__(self, "_values", arr)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("GraphState is immutable")
-
-    @property
-    def values(self) -> np.ndarray:
-        return self._values
+        object.__setattr__(self, "values", arr)
 
 
 def vertex_defect(state: GraphState) -> float:

@@ -38,8 +38,8 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import (_Arrowhead, _lapack_chain, best_omega, energy, energy_gradient,
-                        weighted_norm)
+from .operators import (_Arrowhead, _lapack_chain, _symmetrized, best_omega, energy,
+                        energy_gradient, weighted_norm)
 from .profiles import (
     SesquiParams,
     _scaled_sech,
@@ -474,8 +474,7 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState
         _scaled_sech(amp, m / 2.0, x - eta),
         _scaled_sech(amp, m / 2.0, x + eta),
     ]
-    vals = np.asarray(rows, dtype=complex)
-    vals[:, 0] = vals[:, 0].mean()
+    vals = _symmetrized(np.asarray(rows, dtype=complex))
     return rescale_mass(GraphState(spec, vals), M)
 
 
@@ -514,8 +513,7 @@ def _edge0_transfer(M: float, spec: GraphSpec, moved: float) -> GraphState:
     vals = state.values.copy()
     vals[0] *= math.sqrt(1.0 - moved / edge0)
     vals[1:] *= math.sqrt(1.0 + moved / (rest * edge0))
-    vals[:, 0] = vals[:, 0].mean()
-    return rescale_mass(GraphState(spec, vals), M)
+    return rescale_mass(GraphState(spec, _symmetrized(vals)), M)
 
 
 def _require_fraction(fraction: float) -> None:

@@ -7,6 +7,8 @@ what hessian_probe and stationary_state return.
 """
 
 import ast
+import importlib
+import inspect
 import json
 import os
 import subprocess
@@ -339,9 +341,16 @@ class TestBadInput:
         ["scan", "dilation", "--lambda", "0.5,0.8"],
         ["scan", "sesqui", "--m1", "3"],
         ["scan", "sesqui", "--m1", ","],
+        # an empty range flag is not a request for the default range
+        ["scan", "sesqui", "--m1", ""],
+        ["scan", "minseq", "--m1", ""],
+        ["scan", "dilation", "--lambda", ""],
         ["scan", "minseq", "--m1", "0.5,1"],
         ["scan", "minseq", "--m1", "3"],
         ["flow", "--perturbation", "wiggle:x"],
+        # a colon asks for a fraction, and the none start reads none
+        ["flow", "--perturbation", "shift:"],
+        ["flow", "--perturbation", "none:0.5"],
         ["profile", "sesqui", "--m1", "inf", "--m2", "inf"],
         # a range flag the curve does not read
         ["scan", "dilation", "--m1", "0.5"],
@@ -495,6 +504,28 @@ class TestEntryPoint:
                        for alias in node.names
                        if (alias.asname or alias.name).split(".")[0] not in used]
         assert unused == []
+
+    def test_module_containers_hold_no_package_callables(self):
+        # perfbench's tracer patches module attributes, so a function or
+        # class kept in a container built at import time escapes the patch
+        def members(value):
+            if isinstance(value, dict):
+                value = [*value.keys(), *value.values()]
+            if isinstance(value, (list, tuple, set, frozenset)):
+                return [m for item in value for m in members(item)]
+            return [value]
+
+        held = []
+        for module in sorted(Path(graphnls.__file__).parent.glob("*.py")):
+            name = "graphnls" if module.stem == "__init__" else f"graphnls.{module.stem}"
+            for attr, value in vars(importlib.import_module(name)).items():
+                if attr.startswith("__") or not isinstance(value, (dict, list, tuple, set,
+                                                                   frozenset)):
+                    continue
+                held += [(name, attr, m.__qualname__) for m in members(value)
+                         if (inspect.isfunction(m) or inspect.isclass(m))
+                         and m.__module__.startswith("graphnls")]
+        assert held == []
 
     def test_every_error_class_is_raised(self):
         # an exception class that no module raises or constructs is the

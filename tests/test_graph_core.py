@@ -76,8 +76,36 @@ class TestGraphState:
         st = exp_state(coarse_spec)
         with pytest.raises(AttributeError):
             st.spec = coarse_spec
+        with pytest.raises(AttributeError):
+            st.other = 1.0
         with pytest.raises((ValueError, AttributeError)):
             st.values[0, 0] = 99.0
+
+    def test_any_memory_order_gives_the_same_state(self, coarse_spec):
+        rng = np.random.default_rng(3)
+        shape = (3, coarse_spec.points_per_edge)
+        vals = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        for source in (np.ascontiguousarray(vals.T).T, np.asfortranarray(vals)):
+            assert not source.flags.c_contiguous
+            st = GraphState(coarse_spec, source)
+            assert np.array_equal(st.values, vals)
+
+    def test_keeps_its_own_copy(self, coarse_spec):
+        vals = np.ones((3, coarse_spec.points_per_edge), dtype=complex)
+        st = GraphState(coarse_spec, vals)
+        vals[1, 3] = 5.0
+        assert np.all(st.values == 1.0)
+
+    @pytest.mark.parametrize("kind", ["array", "list", "broadcast"])
+    def test_stores_read_only_c_ordered_complex(self, coarse_spec, kind):
+        row = np.linspace(1.0, 0.0, coarse_spec.points_per_edge)
+        source = {"array": np.array([row] * 3), "list": [row] * 3,
+                  "broadcast": np.broadcast_to(row, (3, len(row)))}[kind]
+        values = GraphState(coarse_spec, source).values
+        assert values.flags.c_contiguous
+        assert values.dtype == np.complex128
+        assert not values.flags.writeable
+        assert np.array_equal(values, np.array([row] * 3))
 
     def test_shape_must_match_spec(self, coarse_spec):
         with pytest.raises(DomainError):
