@@ -78,8 +78,8 @@ def main():
         print(f"  {label} start: final energy {final:+.6f} is "
               f"{e_star - final:.4f} below the stationary value;")
         print(f"  {how}, its peak at x = "
-              f"{trace.extras['peak_coordinate'][-1]:.2f} on edge "
-              f"{int(trace.extras['peak_edge'][-1])}.\n")
+              f"{trace.columns['peak_coordinate'][-1]:.2f} on edge "
+              f"{int(trace.columns['peak_edge'][-1])}.\n")
 
     # the escape time: first iteration below the stationary energy - 0.05
     def crossing(trace):

@@ -2,8 +2,9 @@
 
 Every check returns a CheckResult so callers can render a report or
 assert on individual outcomes.  The battery is deterministic for a
-fixed seed and keeps a running minimum of every discrete energy it
-computes, which feeds the global lower-bound check at the end.
+fixed seed and keeps a running minimum of every energy of a state at
+the battery's mass, which feeds the global lower-bound check at the
+end.
 
 Grid policy: checks run on the configured grid, except the
 random-state property suites (capped at 256 points to keep 50-state
@@ -161,7 +162,7 @@ class _Battery:
             # exact for the doubled profile
             prof = half_soliton(m, spec2)
             st = GraphState(spec2, [prof, prof])
-            return self.state_energy(st) / 2.0
+            return energy(st).total / 2.0
 
         spec2 = self.grid(replace(self.spec, edge_count=2))
         e_coarse = half_line_energy(spec2)
@@ -177,7 +178,7 @@ class _Battery:
         spec2 = self.grid(replace(self.spec, edge_count=2))
         x = spec2.coordinates()
         st = GraphState(spec2, [line_soliton(m, 0.0, x), line_soliton(m, 0.0, -x)])
-        self.check_rel("line_soliton_energy", 2, self.state_energy(st), target, 5e-4)
+        self.check_rel("line_soliton_energy", 2, energy(st).total, target, 5e-4)
 
     def criterion_3(self):
         m1_values = [0.5, 1.0, 1.5, 2.0]
@@ -194,7 +195,7 @@ class _Battery:
         demo = minimizing_sequence_demo(self.M, [1.0, 0.5, 0.1, 0.02], spec_long)
         for e in demo.discrete_energy:
             self.note_energy(e)
-        gaps = np.asarray(demo.extras["gap"])
+        gaps = demo.columns["gap"]
         self.check_bool("minseq_gaps_positive", 4, bool(np.all(gaps > 0.0)),
                         "every gap to the infimum positive")
         self.check_bool("minseq_gaps_decreasing", 4, bool(np.all(np.diff(gaps) < 0.0)),

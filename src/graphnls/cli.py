@@ -49,6 +49,8 @@ _DEFAULT_RANGES = {
 }
 # --m1/--m2 when not given; only the sesquisoliton reads them
 _SESQUI_MASSES = {"m1": 1.0, "m2": 4.0}
+# the flow's start kinds, each a branch of cmd_flow
+_PERTURBATIONS = ("none", "shift", "deposit", "gather", "dilation")
 
 
 @dataclass(frozen=True)
@@ -275,6 +277,8 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
     kind, colon, frac = args.perturbation.partition(":")
     kind = kind.strip()
+    if kind not in _PERTURBATIONS:
+        raise DomainError(f"unknown perturbation kind: {kind!r}")
     if kind == "none" and colon:
         raise DomainError("perturbation none takes no fraction")
     try:
@@ -292,10 +296,8 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         start = deposit_perturbation(config.mass, spec, fraction)
     elif kind == "gather":
         start = gather_perturbation(config.mass, spec, fraction)
-    elif kind == "dilation":
-        start = dilation_family(config.mass, 1.0 + fraction, spec)
     else:
-        raise DomainError(f"unknown perturbation kind: {kind!r}")
+        start = dilation_family(config.mass, 1.0 + fraction, spec)
     _, trace = gradient_flow_fixed_mass(_tail_checked(start), step=args.step,
                                         max_iters=args.max_iters, grad_tol=args.grad_tol)
     stalled = trace.metadata["stop_reason"] == "stalled"
@@ -308,7 +310,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         "infimum": infimum,
         "gap_to_infimum": final_energy - infimum,
         "stationary_energy": -(config.mass ** 3) / 216.0,
-        "final_grad_norm": float(trace.extras["grad_norm"][-1]),
+        "final_grad_norm": float(trace.columns["grad_norm"][-1]),
         "stalled": stalled,
         **trace.metadata,
     }
@@ -337,7 +339,7 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
         "t_final": config.t_final,
         "steps": evo.steps,
         "fixed_point_iters_per_step":
-            float(trace.extras["fixed_point_iters"].sum()) / evo.steps,
+            float(trace.columns["fixed_point_iters"].sum()) / evo.steps,
     }
     trace_path = _write(config, "evolve_trace", trace.columns)
     summary_path = _write_json(config, "evolve_summary.json", summary)

@@ -86,24 +86,37 @@ class EvolutionConfig:
 class FlowTrace:
     """Observables sampled along a time evolution or a gradient flow.
 
-    vertex_phase[k] is arg<Psi(0), Psi(t_k)> in the weighted inner
-    product: for a standing wave e^{i omega t} Phi it equals omega*t_k.
-    extras holds additional per-sample columns (e.g. grad_norm for
-    gradient flows); every array must align with times.  metadata holds
-    per-run facts that are not columns, such as a gradient flow's stop
-    reason and step counts; it is not written to the tables.
+    columns is the table the trace is written as, one float64 entry per
+    sample in each column: t, mass, energy, phase, edge_mass_1..E, then
+    the extra columns (grad_norm, peak_edge and peak_coordinate for a
+    gradient flow, fixed_point_iters for an evolution).  phase[k] is
+    arg<Psi(0), Psi(t_k)> in the weighted inner product: for a standing
+    wave e^{i omega t} Phi it equals omega*t_k.  metadata holds per-run
+    facts that are not columns, such as a gradient flow's stop reason
+    and step counts; it is not written to the tables.
     """
 
-    times: np.ndarray
-    masses: np.ndarray
-    energies: np.ndarray
-    vertex_phase: np.ndarray
-    edge_masses: np.ndarray
-    extras: dict = field(default_factory=dict)
+    columns: dict
     metadata: dict = field(default_factory=dict)
 
     def __post_init__(self):
         _column_arrays(self.columns)
+
+    @property
+    def times(self) -> np.ndarray:
+        return self.columns["t"]
+
+    @property
+    def masses(self) -> np.ndarray:
+        return self.columns["mass"]
+
+    @property
+    def energies(self) -> np.ndarray:
+        return self.columns["energy"]
+
+    @property
+    def vertex_phase(self) -> np.ndarray:
+        return self.columns["phase"]
 
     @property
     def mass_drift(self) -> float:
@@ -116,17 +129,6 @@ class FlowTrace:
         e0 = self.energies[0]
         drift = float(np.max(np.abs(self.energies - e0)))
         return drift / abs(e0) if e0 != 0.0 else drift
-
-    @property
-    def columns(self) -> dict:
-        """The trace as table columns: t, mass, energy, phase,
-        edge_mass_1..E, then the extras."""
-        cols = {"t": self.times, "mass": self.masses, "energy": self.energies,
-                "phase": self.vertex_phase}
-        for e in range(self.edge_masses.shape[1]):
-            cols[f"edge_mass_{e + 1}"] = self.edge_masses[:, e]
-        cols.update(self.extras)
-        return cols
 
 
 class TraceRecorder:
@@ -143,32 +145,23 @@ class TraceRecorder:
     def __init__(self, reference: GraphState):
         self.reference = reference
         self.samples = {"t": [], "mass": [], "energy": [], "phase": []}
-        self.edge_masses = []
 
     def __len__(self) -> int:
-        return len(self.edge_masses)
+        return len(self.samples["t"])
 
     def observe(self, t: float, state: GraphState, energy_total: float,
                 em: np.ndarray | None = None, **extras):
         if em is None:
             em = edge_masses(state)
         row = {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
-               "phase": float(np.angle(weighted_inner(self.reference, state))), **extras}
+               "phase": float(np.angle(weighted_inner(self.reference, state))),
+               **{f"edge_mass_{e + 1}": m for e, m in enumerate(em.tolist())}, **extras}
         for name, value in row.items():
             self.samples.setdefault(name, []).append(value)
-        self.edge_masses.append(em)
 
     def trace(self, **metadata) -> FlowTrace:
-        cols = {name: np.array(values, dtype=float) for name, values in self.samples.items()}
-        return FlowTrace(
-            times=cols.pop("t"),
-            masses=cols.pop("mass"),
-            energies=cols.pop("energy"),
-            vertex_phase=cols.pop("phase"),
-            edge_masses=np.stack(self.edge_masses, axis=0),
-            extras=cols,
-            metadata=metadata,
-        )
+        return FlowTrace({name: np.array(values, dtype=float)
+                          for name, values in self.samples.items()}, metadata)
 
 
 def _banded_chain(chain: np.ndarray):

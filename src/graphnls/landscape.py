@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.linalg
@@ -63,23 +63,30 @@ _LIVE_CONTROLS = _CONTROL_POINTS - 2
 
 @dataclass(frozen=True)
 class CurveScan:
-    """Energies sampled along a one-parameter family of states."""
+    """Energies sampled along a one-parameter family of states.
+
+    columns is the table the scan is written as: param (the values of
+    param_name), closed_energy, discrete_energy, then the extra columns
+    (offset, plus gap for the minimizing sequence, or mass for dilation).
+    """
 
     param_name: str
-    param_values: np.ndarray
-    closed_energy: np.ndarray
-    discrete_energy: np.ndarray
-    extras: dict = field(default_factory=dict)
+    columns: dict
 
     def __post_init__(self):
         _column_arrays(self.columns)
 
     @property
-    def columns(self) -> dict:
-        """The scan as table columns: param, closed_energy,
-        discrete_energy, then the extras."""
-        return {"param": self.param_values, "closed_energy": self.closed_energy,
-                "discrete_energy": self.discrete_energy, **self.extras}
+    def param_values(self) -> np.ndarray:
+        return self.columns["param"]
+
+    @property
+    def closed_energy(self) -> np.ndarray:
+        return self.columns["closed_energy"]
+
+    @property
+    def discrete_energy(self) -> np.ndarray:
+        return self.columns["discrete_energy"]
 
 
 def comparison_sesquisoliton(state: GraphState):
@@ -153,13 +160,8 @@ def scan_sesqui_curve(M: float, m1_values, spec: GraphSpec) -> CurveScan:
             "discrete sesquisoliton energies failed to increase along m1; "
             "the grid is too coarse for this scan"
         )
-    return CurveScan(
-        param_name="m1",
-        param_values=m1s,
-        closed_energy=closed,
-        discrete_energy=discrete,
-        extras={"offset": offsets},
-    )
+    return CurveScan("m1", {"param": m1s, "closed_energy": closed,
+                            "discrete_energy": discrete, "offset": offsets})
 
 
 def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
@@ -183,13 +185,8 @@ def scan_dilation_curve(M: float, lambda_values, spec: GraphSpec) -> CurveScan:
     K = M ** 3 / 216.0
     P = M ** 3 / 108.0
     closed = lams ** 2 * K - lams * P
-    return CurveScan(
-        param_name="lambda",
-        param_values=lams,
-        closed_energy=closed,
-        discrete_energy=discrete,
-        extras={"mass": masses},
-    )
+    return CurveScan("lambda", {"param": lams, "closed_energy": closed,
+                                "discrete_energy": discrete, "mass": masses})
 
 
 def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
@@ -223,13 +220,8 @@ def minimizing_sequence_demo(M: float, m1_values, spec: GraphSpec) -> CurveScan:
             "below the infimum -M^3/96; the grid is too coarse for this scan")
     if len(gaps) >= 2 and not np.all(np.diff(gaps) < 0):
         raise GraphNLSError("minimizing-sequence gaps failed to decrease")
-    return CurveScan(
-        param_name="m1",
-        param_values=m1s,
-        closed_energy=closed,
-        discrete_energy=discrete,
-        extras={"offset": offsets, "gap": gaps},
-    )
+    return CurveScan("m1", {"param": m1s, "closed_energy": closed,
+                            "discrete_energy": discrete, "offset": offsets, "gap": gaps})
 
 
 def hessian_probe(center: GraphState, direction: GraphState, epsilon: float) -> float:
@@ -367,10 +359,10 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     mass and the recorded masses; each step costs one resolvent solve,
     and each trial step one rescale_mass and one energy.
 
-    Returns (last accepted state, FlowTrace) at every stop; trace
-    extras record the projected gradient norm and the position (edge,
-    coordinate) of the modulus maximum, a proxy for where the escaping
-    soliton sits.  Trace metadata records stop_reason ("converged",
+    Returns (last accepted state, FlowTrace) at every stop; the trace's
+    extra columns record the projected gradient norm and the position
+    (edge, coordinate) of the modulus maximum, a proxy for where the
+    escaping soliton sits.  Trace metadata records stop_reason ("converged",
     "near_infimum", "max_iters" or "stalled"), the accepted and rejected
     trial steps, and final_step, the step size the next trial would
     have used (below 1e-12 after a stall).

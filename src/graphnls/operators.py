@@ -34,7 +34,10 @@ from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_conti
 
 
 def weighted_inner(a: GraphState, b: GraphState) -> complex:
-    """<a, b> = sum_e int conj(a_e) b_e with trapezoid weights."""
+    """<a, b> = sum_e int conj(a_e) b_e with trapezoid weights; a and b
+    must share a grid, else DomainError."""
+    if a.spec != b.spec:
+        raise DomainError("the two states live on different grids")
     w = edge_weights(a.spec)
     return complex((w * (np.conj(a.values) * b.values)).sum())
 
@@ -234,6 +237,4 @@ def best_omega(state: GraphState, gradient: GraphState | None = None,
         raise GraphNLSError("best_omega is undefined for the zero state")
     if gradient is None:
         gradient = energy_gradient(state)
-    elif gradient.spec != state.spec:
-        raise DomainError("gradient and state live on different grids")
     return -float(np.real(weighted_inner(gradient, state))) / m

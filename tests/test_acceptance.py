@@ -129,6 +129,17 @@ def test_a_start_already_escaped_fails_the_time_ratio_without_a_crash():
     assert math.isnan(ratio.observed)
 
 
+def test_the_energy_floor_counts_only_states_at_the_battery_mass():
+    # criteria 1 and 2 check 2-edge states of mass 2 and 4, whose
+    # energies say nothing about the floor of the mass-M sphere: at
+    # M = 2 the line soliton's -2/3 lies far below -M^3/96
+    battery = _Battery(RunConfig(mass=2.0, points=64))
+    battery.run_criterion(1)
+    battery.run_criterion(2)
+    assert not any(r.name.endswith("_error") for r in battery.results)
+    assert battery.min_energy == math.inf
+
+
 def test_every_check_helper_records_one_format(monkeypatch):
     # observed is always a float and passed a bool, whatever numpy
     # scalar a criterion hands over; only the bounded helpers carry a

@@ -7,10 +7,15 @@ targets and uninstalls it again; it times nothing.  The stepper's solve
 count is read through ``dynamics.solve_banded`` inside the spans of
 ``dynamics.step_crank_nicolson``, so checks here keep every stepper
 solve going through that binding and every step through that function.
+The two fast workloads also run here once each, so a change to what
+their jobs and gates read fails this suite too.
 """
 
+import collections
 import importlib
 from pathlib import Path
+
+import pytest
 
 from graphnls import (EvolutionConfig, GraphSpec, SesquiParams, dynamics, evolve,
                       sesquisoliton, stationary_state)
@@ -51,7 +56,7 @@ def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
         _, trace = evolve(state, EvolutionConfig(dt=1e-3, t_final=0.01))
         # one solve per midpoint iteration, after the solver's
         # vertex-column solve when evolve builds it
-        iterations = int(trace.extras["fixed_point_iters"].sum())
+        iterations = int(trace.columns["fixed_point_iters"].sum())
         assert columns == [1] + [width] * iterations
 
 
@@ -69,3 +74,14 @@ def test_evolve_takes_each_step_through_step_crank_nicolson(monkeypatch):
     config = EvolutionConfig(dt=1e-3, t_final=0.01)
     evolve(st, config)
     assert calls == config.steps
+
+
+@pytest.mark.parametrize("workload", ["SaddleEscape", "LandscapeSweep"])
+def test_fast_workloads_pass_every_gate(monkeypatch, tmp_path, workload):
+    # cn_evolution's job takes seconds, so only the perfbench suite runs it
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    bench = getattr(importlib.import_module("workloads"), workload)(1)
+    bench.setup()
+    outcome = bench.check(str(tmp_path), bench.job(str(tmp_path), collections.Counter()))
+    assert outcome.gates
+    assert [gate for gate in outcome.gates if not gate.passed] == []

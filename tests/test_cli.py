@@ -191,8 +191,11 @@ class TestFlow:
         assert summary["stop_reason"] == "stalled"
 
     def test_unknown_perturbation_exit_2(self, run, tmp_path):
-        r = run(["flow", "--perturbation", "wiggle:0.1"] + FAST, tmp_path)
-        assert r.returncode == 2
+        # the kind is checked before the fraction
+        for perturbation in ("wiggle", "wiggle:0.1", "wiggle:x", "wiggle:"):
+            r = run(["flow", "--perturbation", perturbation] + FAST, tmp_path)
+            assert r.returncode == 2
+            assert r.stderr == "error: unknown perturbation kind: 'wiggle'\n"
 
     def test_json_trace_matches_csv(self, run, tmp_path):
         # every subcommand that writes a table: JSON "data" holds the
@@ -467,9 +470,12 @@ class TestEntryPoint:
         assert r.stdout.split() == []
 
     @pytest.mark.parametrize("demo, table", [("saddle_probes", "saddle_probes.csv"),
-                                             ("profiles_gallery", "stationary.csv")])
+                                             ("profiles_gallery", "stationary.csv"),
+                                             ("energy_landscape", "sesquisoliton.csv"),
+                                             ("standing_wave", "standing_wave.csv"),
+                                             ("gradient_descent_escape", "flow_shift.csv")])
     def test_demo_runs(self, tmp_path, demo, table):
-        # these demos read what hessian_probe and stationary_state return
+        # the demos read the probes, states, scans and traces the package returns
         env = child_env()
         env["GRAPHNLS_OUT"] = str(tmp_path)
         path = Path(__file__).resolve().parents[1] / "demos" / f"{demo}.py"
@@ -480,7 +486,7 @@ class TestEntryPoint:
         assert (tmp_path / table).exists()
 
     def test_demo_imports_resolve(self):
-        # the other demos take seconds each and do not run here; their imports do
+        # every name a demo imports from graphnls exists
         demos = sorted((Path(__file__).resolve().parents[1] / "demos").glob("*.py"))
         names = [(demo.name, alias.name) for demo in demos
                  for node in ast.walk(ast.parse(demo.read_text()))

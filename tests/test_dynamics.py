@@ -107,14 +107,14 @@ class TestMidpointIteration:
         # degree-4 guess (1 solve); from psi_n it takes 4
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
-        iters = trace.extras["fixed_point_iters"]
+        iters = trace.columns["fixed_point_iters"]
         assert iters[0] == 0
         assert iters[6:].mean() <= 1.1
 
     def test_standing_wave_takes_one_solve_per_step(self, newton_512):
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
-        assert np.all(trace.extras["fixed_point_iters"][6:] == 1)
+        assert np.all(trace.columns["fixed_point_iters"][6:] == 1)
 
     @pytest.mark.parametrize("dt", [5e-4, 2e-3])
     def test_degree_four_start_keeps_its_margin_across_dt(self, newton_512, dt):
@@ -123,20 +123,20 @@ class TestMidpointIteration:
         # (the test above) needs a second solve
         st, _ = newton_512
         _, trace = evolve(st, EvolutionConfig(dt=dt, t_final=0.05))
-        assert np.all(trace.extras["fixed_point_iters"][6:] == 1)
+        assert np.all(trace.columns["fixed_point_iters"][6:] == 1)
 
     def test_sesquisoliton_takes_at_most_four_solves_per_step(self, newton_512):
         st = sesquisoliton(SesquiParams.solve(1.0, 5.0), newton_512[0].spec)
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.05))
-        assert trace.extras["fixed_point_iters"][4:].max() <= 4.0
+        assert trace.columns["fixed_point_iters"][4:].max() <= 4.0
 
     def test_iterations_add_up_across_rows(self, newton_512):
         st, _ = newton_512
         every = dict(dt=1e-3, t_final=0.05)
         _, each = evolve(st, EvolutionConfig(**every))
         _, tenth = evolve(st, EvolutionConfig(observe_every=10, **every))
-        per_step = each.extras["fixed_point_iters"]
-        assert np.array_equal(tenth.extras["fixed_point_iters"],
+        per_step = each.columns["fixed_point_iters"]
+        assert np.array_equal(tenth.columns["fixed_point_iters"],
                               np.concatenate([[0], per_step[1:].reshape(-1, 10).sum(axis=1)]))
 
     # the start's weights on the latest states, newest first: quadratic
@@ -286,7 +286,8 @@ class TestStructure:
         st = sesquisoliton(SesquiParams.solve(1.0, 5.0), spec)
         _, trace = evolve(st, EvolutionConfig(dt=1e-3, t_final=0.3,
                                               observe_every=30))
-        drift = np.max(np.abs(trace.edge_masses[-1] - trace.edge_masses[0]))
+        edge_mass = [trace.columns[f"edge_mass_{e}"] for e in (1, 2, 3)]
+        drift = max(abs(col[-1] - col[0]) for col in edge_mass)
         assert drift > 1e-6
 
 

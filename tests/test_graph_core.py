@@ -197,10 +197,11 @@ class TestSerialization:
             write_csv(io.StringIO(), {"values": np.zeros((2, 2))})
 
     @pytest.mark.parametrize("record", [
-        lambda extras: FlowTrace(np.arange(3.0), np.ones(3), -np.ones(3), np.zeros(3),
-                                 np.ones((3, 3)), extras=extras),
-        lambda extras: CurveScan("m1", np.arange(3.0), -np.ones(3), -np.ones(3),
-                                 extras=extras),
+        lambda extras: FlowTrace({"t": np.arange(3.0), "mass": np.ones(3),
+                                  "energy": -np.ones(3), "phase": np.zeros(3),
+                                  "edge_mass_1": np.ones(3), **extras}),
+        lambda extras: CurveScan("m1", {"param": np.arange(3.0), "closed_energy": -np.ones(3),
+                                        "discrete_energy": -np.ones(3), **extras}),
     ], ids=["FlowTrace", "CurveScan"])
     def test_records_reject_ragged_columns(self, record):
         # a trace and a scan hold their columns to the rule every written table obeys

@@ -236,7 +236,7 @@ class TestDescentFlow:
         assert trace.energies[-1] == pytest.approx(e_star, abs=2e-3)
         assert len(trace.times) < 3000
         assert trace.metadata["stop_reason"] == "converged"
-        assert trace.extras["grad_norm"][-1] <= 1e-3
+        assert trace.columns["grad_norm"][-1] <= 1e-3
 
     def test_deposit_start_returns_to_a_tight_tolerance(self, coarse_spec):
         # next to the degenerate saddle the projected gradient decays
@@ -247,7 +247,7 @@ class TestDescentFlow:
                                             grad_tol=1e-6)
         assert trace.metadata["stop_reason"] == "converged"
         assert trace.metadata["accepted_steps"] < 5000
-        assert trace.extras["grad_norm"][-1] <= 1e-6
+        assert trace.columns["grad_norm"][-1] <= 1e-6
 
     def test_asymmetric_start_escapes(self, coarse_spec):
         # breaking the symmetry between edges 1 and 2 opens the descent
@@ -269,7 +269,7 @@ class TestDescentFlow:
                                             grad_tol=1e-6)
         assert trace.metadata["stop_reason"] == "converged"
         assert trace.metadata["accepted_steps"] > 1000
-        grad_norm = trace.extras["grad_norm"]
+        grad_norm = trace.columns["grad_norm"]
         assert grad_norm[-1] <= tol < grad_norm[-2]
         assert trace.energies[-1] < trace.energies[0]
 
@@ -277,10 +277,19 @@ class TestDescentFlow:
         start = shift_perturbation(M, coarse_spec, 0.01)
         _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=50,
                                             grad_tol=1e-12)
-        assert "grad_norm" in trace.extras
-        assert len(trace.extras["grad_norm"]) == len(trace.times)
+        assert "grad_norm" in trace.columns
+        assert len(trace.columns["grad_norm"]) == len(trace.times)
         assert trace.metadata["stop_reason"] == "max_iters"
         assert trace.metadata["accepted_steps"] == 50
+
+    def test_trace_stores_the_table_it_is_written_as(self, coarse_spec):
+        start = shift_perturbation(M, coarse_spec, 0.01)
+        _, trace = gradient_flow_fixed_mass(start, step=0.1, max_iters=5, grad_tol=1e-12)
+        assert trace.columns is trace.columns
+        assert list(trace.columns) == ["t", "mass", "energy", "phase", "edge_mass_1",
+                                       "edge_mass_2", "edge_mass_3", "grad_norm",
+                                       "peak_edge", "peak_coordinate"]
+        assert trace.energies is trace.columns["energy"]
 
     def test_one_gradient_and_one_energy_per_trial(self, coarse_spec, monkeypatch):
         # the start state and each accepted state get one gradient, which
@@ -338,9 +347,9 @@ class TestDescentFlow:
                                             grad_tol=1e-6)
         assert trace.metadata["stop_reason"] == "near_infimum"
         assert trace.energies[-1] < -(M ** 3) / 216.0 - 0.05
-        assert np.array_equal(trace.edge_masses[:, 1], trace.edge_masses[:, 2])
-        assert trace.edge_masses[-1, 0] > 0.99 * M
-        assert trace.extras["peak_edge"][-1] == 0
+        assert np.array_equal(trace.columns["edge_mass_2"], trace.columns["edge_mass_3"])
+        assert trace.columns["edge_mass_1"][-1] > 0.99 * M
+        assert trace.columns["peak_edge"][-1] == 0
 
     def test_escape_stops_near_the_infimum_in_a_grid_independent_count(self):
         # a 4x finer grid would take 16x the iterations of an explicit
@@ -355,7 +364,7 @@ class TestDescentFlow:
                                                 grad_tol=1e-6)
             assert trace.metadata["stop_reason"] == "near_infimum"
             assert infimum < trace.energies[-1] <= 0.99 * infimum < trace.energies[-2]
-            assert trace.extras["peak_coordinate"][-1] < spec.truncation_length / 10
+            assert trace.columns["peak_coordinate"][-1] < spec.truncation_length / 10
             counts.append(trace.metadata["accepted_steps"])
         assert abs(counts[1] - counts[0]) <= 0.1 * counts[0]
 

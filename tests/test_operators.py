@@ -57,6 +57,15 @@ class TestWeightedInner:
         assert weighted_inner(a, b) == pytest.approx(
             np.conj(weighted_inner(b, a)), rel=1e-12)
 
+    def test_rejects_states_on_different_grids(self):
+        # another point count, and the same point count on another length
+        st, _ = stationary_state(M, GraphSpec(3, 20.0, 128))
+        for spec in (GraphSpec(3, 20.0, 256), GraphSpec(3, 30.0, 128)):
+            other, _ = stationary_state(M, spec)
+            for a, b in ((st, other), (other, st)):
+                with pytest.raises(DomainError, match="different grids"):
+                    weighted_inner(a, b)
+
 
 class TestLaplacian:
     def test_matches_second_derivative_inside_edges(self):
