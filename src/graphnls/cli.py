@@ -30,6 +30,7 @@ from .dynamics import (EvolutionConfig, discrete_stationary_state,
 from .errors import DomainError, GraphNLSError
 from .graph_core import GraphSpec, state_columns, table_json, write_csv
 from .landscape import (
+    _require_start_mass,
     deposit_perturbation,
     gather_perturbation,
     gradient_flow_fixed_mass,
@@ -285,6 +286,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         fraction = float(frac) if colon else 0.01
     except ValueError as exc:
         raise DomainError(f"bad perturbation fraction: {frac!r}") from exc
+    _require_start_mass(config.mass, spec)
     if kind == "none":
         # a critical point of the discrete energy: the flow converges at
         # iteration 0 (projected gradient 1.0e-10 at 256 points) and

@@ -42,11 +42,12 @@ from .operators import (_Arrowhead, _lapack_chain, _symmetrized, best_omega, ene
                         energy_gradient, weighted_norm)
 from .profiles import (
     SesquiParams,
-    _scaled_sech,
     _sesqui_energy_poly,
     dilation_family,
     energy_infimum,
     energy_sesqui_closed,
+    half_soliton,
+    line_soliton,
     sesquisoliton,
     solve_offset,
     stationary_state,
@@ -460,12 +461,9 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState
     # a shift eta moves m*tanh(m*eta/2) of mass onto the receiving edge
     eta = (2.0 / m) * math.atanh(fraction * M / m)
     x = spec.coordinates()
-    amp = m / math.sqrt(2.0)
-    rows = [
-        _scaled_sech(amp, m / 2.0, x),
-        _scaled_sech(amp, m / 2.0, x - eta),
-        _scaled_sech(amp, m / 2.0, x + eta),
-    ]
+    # half-solitons of mass m: the halves of a mass-2m line soliton
+    rows = [half_soliton(m, spec), line_soliton(2.0 * m, eta, x),
+            line_soliton(2.0 * m, -eta, x)]
     vals = _symmetrized(np.asarray(rows, dtype=complex))
     return rescale_mass(GraphState(spec, vals), M)
 

@@ -16,6 +16,7 @@ import pytest
 from graphnls import GraphNLSError, acceptance
 from graphnls.acceptance import CheckResult, _Battery
 from graphnls.cli import RunConfig
+from graphnls.landscape import minimizing_sequence_demo, scan_sesqui_curve
 
 
 def _assert_criterion(battery, criterion):
@@ -138,6 +139,39 @@ def test_the_energy_floor_counts_only_states_at_the_battery_mass():
     battery.run_criterion(2)
     assert not any(r.name.endswith("_error") for r in battery.results)
     assert battery.min_energy == math.inf
+
+
+def test_the_battery_works_its_inputs_out_from_the_mass():
+    # the m1 lists and the dilation probe's target follow M; at M = 6
+    # they are the old literals bit for bit
+    battery = _Battery(RunConfig(mass=2.0, points=256))
+    for criterion in (3, 4, 7, 10):
+        battery.run_criterion(criterion)
+    assert not any(r.name.endswith("_error") for r in battery.results)
+    assert all(r.passed for r in battery.results if r.criterion in (3, 4, 10))
+    (probe,) = [r for r in battery.results if r.name == "probe_dilation"]
+    assert probe.passed
+
+
+def test_the_energy_floor_takes_the_least_energy_of_each_scan():
+    M = 2.0
+    battery = _Battery(RunConfig(mass=M, points=256))
+    battery.run_criterion(3)
+    battery.run_criterion(4)
+    spec = battery.spec
+    sesqui = scan_sesqui_curve(M, [M / 12.0, M / 6.0, M / 4.0, M / 3.0], spec)
+    minseq = minimizing_sequence_demo(M, [M / 6.0, M / 12.0, M / 60.0, M / 300.0],
+                                      replace(spec, truncation_length=60.0))
+    assert battery.min_energy == min(sesqui.discrete_energy.min(),
+                                     minseq.discrete_energy.min())
+
+
+def test_note_energy_takes_one_value_or_an_array_and_skips_nan():
+    battery = _Battery(RunConfig(points=64))
+    battery.note_energy(-1.0)
+    battery.note_energy(np.array([math.nan, -2.0, -1.5]))
+    battery.note_energy([math.nan])
+    assert battery.min_energy == -2.0
 
 
 def test_every_check_helper_records_one_format(monkeypatch):

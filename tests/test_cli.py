@@ -11,6 +11,8 @@ import importlib
 import inspect
 import json
 import os
+import re
+import shlex
 import subprocess
 import sys
 import warnings
@@ -26,6 +28,7 @@ FAST = ["--points", "128", "--length", "20"]
 # The directory that holds the graphnls this process imported, so the
 # child runs the same copy whatever its cwd (src/ or site-packages).
 PACKAGE_ROOT = str(Path(graphnls.__file__).resolve().parents[1])
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 @dataclass
@@ -415,13 +418,15 @@ class TestBadInput:
         assert r.returncode == 0
         assert r.stderr == ""
 
-    @pytest.mark.parametrize("kind", ["shift", "deposit", "gather"])
-    @pytest.mark.parametrize("mass", ["1e-170", "1e-300"])
+    @pytest.mark.parametrize("kind", ["shift", "deposit", "gather", "dilation", "none"])
+    @pytest.mark.parametrize("mass", ["1e-160", "1e-170", "1e-300"])
     def test_tiny_flow_mass_is_named(self, run, tmp_path, kind, mass):
-        # the start's |psi|^2 underflows, so no rescale can give it the mass
+        # the start's |psi|^2 underflows, so no rescale can give it the mass;
+        # every start is refused before it is built, so no tail warning
+        perturbation = kind if kind == "none" else f"{kind}:0.01"
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = run(["flow", "--mass", mass, "--perturbation", f"{kind}:0.01",
+            r = run(["flow", "--mass", mass, "--perturbation", perturbation,
                      "--points", "64"], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith(f"error: mass {mass} is too small")
@@ -484,6 +489,22 @@ class TestEntryPoint:
         assert r.returncode == 0, r.stderr
         assert r.stderr == ""
         assert (tmp_path / table).exists()
+
+    def test_readme_library_tour_runs(self, capsys):
+        (code,) = re.findall(r"```python\n(.*?)```", README.read_text(), re.S)
+        exec(compile(code, "README.md", "exec"), {})
+        # the omega and the stop reason its comments state
+        lines = capsys.readouterr().out.splitlines()
+        assert (lines[0], lines[-2]) == ("1.0", "near_infimum")
+
+    def test_readme_commands_parse(self):
+        # a renamed flag leaves README wrong without failing a run
+        lines = [line for block in re.findall(r"```sh\n(.*?)```", README.read_text(), re.S)
+                 for line in block.splitlines() if line.startswith("graphnls ")]
+        assert len(lines) == 9
+        parser = cli.build_parser()
+        for line in lines:
+            parser.parse_args(shlex.split(line, comments=True)[1:])
 
     def test_demo_imports_resolve(self):
         # every name a demo imports from graphnls exists
