@@ -15,7 +15,7 @@ stop_reason "stalled".
 
 The flow is Sobolev-preconditioned, so its iteration count does not
 grow with the grid: each escape takes about 235 iterations on the
-default 4096-point grid (about 0.5 s each), and the deposit start
+default 4096-point grid (about 0.2 s each), and the deposit start
 returns to a projected gradient of 1e-3 in 14.
 
 How long an escape takes shows that the saddle is degenerate.  A start

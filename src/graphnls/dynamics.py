@@ -182,10 +182,11 @@ def _pair_weights(spec: GraphSpec) -> np.ndarray:
 
 def _edge_symmetric(values: np.ndarray) -> bool:
     """True when every edge row equals row 0 (a NaN equals nothing)."""
-    values = np.asarray(values, dtype=np.complex128)
+    values = np.asarray(values)
     if values.strides[-1] != values.itemsize:
         values = np.ascontiguousarray(values)
-    # compared as float64 (re, im) pairs, about three times faster than complex
+    # a complex row is compared as float64 (re, im) pairs, about three
+    # times faster than as complex
     parts = values.view(np.float64)
     return bool((parts[1:] == parts[0]).all())
 
@@ -354,7 +355,7 @@ def discrete_stationary_state(M: float, spec: GraphSpec):
     omega = (m_edge ** 2) / 4.0
 
     for _ in range(_NEWTON_MAX_ITERS):
-        lap = _laplacian_values(np.broadcast_to(u, (E, N)), spec)[0]
+        lap = _laplacian_values(np.broadcast_to(u, (E, N)), spec, divide=True)[0]
         G = -lap - u ** 3 + omega * u
         G_mass = E * float((w * u ** 2).sum()) - M
         if max(float(np.max(np.abs(G))), abs(G_mass)) < _NEWTON_TOL:

@@ -2,10 +2,10 @@
 
 A metric star graph with E half-line edges glued at one vertex is
 truncated to length L per edge and sampled on N uniformly spaced points
-per edge, with index 0 at the shared vertex on every edge.  A state is a
-complex array of shape (E, N); physically meaningful states agree at the
-vertex across edges (Kirchhoff continuity) and have decayed to ~0 by the
-far end x = L.
+per edge, with index 0 at the shared vertex on every edge.  A state is an
+array of shape (E, N), float64 when it is real and complex128 otherwise;
+physically meaningful states agree at the vertex across edges (Kirchhoff
+continuity) and have decayed to ~0 by the far end x = L.
 
 Integrals over the graph are composite trapezoid sums per edge.  The
 vertex point therefore carries total weight E*h/2 across edges, which is
@@ -73,19 +73,24 @@ class GraphSpec:
 
 @dataclass(frozen=True, eq=False)
 class GraphState:
-    """Immutable complex-valued function on the discretized star graph.
+    """Immutable function on the discretized star graph.
 
     values[e, j] is the sample on edge e at coordinate j*h, j=0 at the
     vertex; the constructor also takes a list of the E edge rows, or an
-    array in any memory order.  It keeps one C-ordered complex128 copy,
-    stored read-only; use .values.copy() to get a mutable buffer.
+    array in any memory order.  It keeps one C-ordered copy, stored
+    read-only: float64 for real (bool, integer or float) input and
+    complex128 for any other.  A real state stays real under the descent
+    flow, and every operator gives it its complex128 twin's bits.  Use
+    .values.copy() for a mutable buffer, or .values.astype(complex) to
+    write complex entries.
     """
 
     spec: GraphSpec
     values: np.ndarray
 
     def __post_init__(self):
-        arr = np.array(self.values, dtype=np.complex128, order="C")
+        arr = np.array(self.values, order="C")
+        arr = arr.astype(np.float64 if arr.dtype.kind in "biuf" else np.complex128, copy=False)
         expected = (self.spec.edge_count, self.spec.points_per_edge)
         if arr.shape != expected:
             raise DomainError(f"values shape {arr.shape} does not match grid {expected}")

@@ -38,8 +38,8 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import (_Arrowhead, _lapack_chain, _symmetrized, best_omega, energy,
-                        energy_gradient, weighted_norm)
+from .operators import (_Arrowhead, _lapack_chain, _symmetrized, _vertex_mean, best_omega,
+                        energy, energy_gradient, weighted_norm)
 from .profiles import (
     SesquiParams,
     _sesqui_energy_poly,
@@ -314,7 +314,7 @@ def _sobolev_direction(state: GraphState, r: np.ndarray, state_mass: float,
                        resolvent: _Arrowhead) -> np.ndarray:
     """-(I - L)^{-1} r, projected onto the tangent space of the mass
     sphere at state: d -= Re<state, d> / state_mass * state."""
-    d = -resolvent.solve(r[:, 0].mean(), r[:, 1:])
+    d = -resolvent.solve(_vertex_mean(r), r[:, 1:])
     w = edge_weights(state.spec)
     psi = state.values
     d -= (float((w * (psi.real * d.real + psi.imag * d.imag)).sum()) / state_mass) * psi
@@ -379,8 +379,12 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     if not M0 > 0:
         raise DomainError("gradient flow needs a state with positive mass")
     # products, not M0 ** 3: a huge M0 then gives -inf instead of an
-    # OverflowError, and no finite energy stops the run
+    # OverflowError, and no finite energy stops the run; nor does a
+    # threshold that underflows to -0.0 (M0 below about 1e-103), which
+    # would stop a start above the infimum whose energy underflows to 0
     near_infimum = -(0.99 / 96.0) * M0 * M0 * M0
+    if not near_infimum < 0.0:
+        near_infimum = -math.inf
     spec = state0.spec
     w = edge_weights(spec)
     h = spec.spacing
@@ -464,7 +468,7 @@ def shift_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState
     # half-solitons of mass m: the halves of a mass-2m line soliton
     rows = [half_soliton(m, spec), line_soliton(2.0 * m, eta, x),
             line_soliton(2.0 * m, -eta, x)]
-    vals = _symmetrized(np.asarray(rows, dtype=complex))
+    vals = _symmetrized(np.asarray(rows))
     return rescale_mass(GraphState(spec, vals), M)
 
 

@@ -15,11 +15,19 @@ The Kirchhoff Laplacian L (natural far end) is written here once: a
 stencil for any state and a banded matrix on vertex-symmetric states.
 The Newton refinement factors the matrix, and one arrowhead solver,
 _Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
--2i/dt) and for the descent flow's preconditioner (shift 1).  Both
-solve a complex chain: the flow through LAPACK's zgttrf/zgttrs, the
-stepper through solve_banded, where the benchmark counts its solves.
-An edge-symmetric system, the stepper's on the standing wave, is
-solved as one edge row: one chain column in place of E.
+-2i/dt) and for the descent flow's preconditioner (shift 1).  The
+stepper solves its complex chain through solve_banded, where the
+benchmark counts its solves; the flow factors its real chain once with
+LAPACK's dgttrf and solves with dgttrs, a complex right-hand side as
+its real and imaginary parts.  An edge-symmetric system, the stepper's
+on the standing wave, is solved as one edge row: one chain column in
+place of E.
+
+A real (float64) state gives its complex128 twin's bits, so a real
+start's flow runs in float64 from end to end: numpy divides a complex
+by a real as a * (1/c) and sums a complex array in its own pairwise
+order, and the real path does the same (_vertex_mean, the stencil's
+1/h^2, _Arrowhead's vertex solve, weighted_inner).
 """
 
 from __future__ import annotations
@@ -27,7 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg.lapack import zgttrf, zgttrs
+from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, GraphNLSError
 from .graph_core import GraphSpec, GraphState, edge_weights, mass, require_continuity
@@ -39,7 +47,8 @@ def weighted_inner(a: GraphState, b: GraphState) -> complex:
     if a.spec != b.spec:
         raise DomainError("the two states live on different grids")
     w = edge_weights(a.spec)
-    return complex((w * (np.conj(a.values) * b.values)).sum())
+    # summed as complex, whose pairwise order differs from float64's
+    return complex((w * (np.conj(a.values) * b.values)).astype(complex, copy=False).sum())
 
 
 def weighted_norm(a: GraphState) -> float:
@@ -47,10 +56,16 @@ def weighted_norm(a: GraphState) -> float:
     return float(np.sqrt((w * np.abs(a.values) ** 2).sum()))
 
 
+def _vertex_mean(values: np.ndarray):
+    """Mean of the vertex entries across edges, as sum * (1/E): numpy's
+    complex mean divides so, and a real state keeps its twin's bits."""
+    return values[:, 0].sum() * (1.0 / len(values))
+
+
 def _symmetrized(values: np.ndarray) -> np.ndarray:
     """Copy with the vertex entries replaced by their mean across edges."""
     out = values.copy()
-    out[:, 0] = values[:, 0].mean()
+    out[:, 0] = _vertex_mean(values)
     return out
 
 
@@ -66,16 +81,21 @@ def _vertex_coupling(spec: GraphSpec) -> float:
     return 2.0 / (spec.edge_count * (h * h))
 
 
-def _laplacian_values(values: np.ndarray, spec: GraphSpec) -> np.ndarray:
+def _laplacian_values(values: np.ndarray, spec: GraphSpec,
+                      divide: bool = False) -> np.ndarray:
+    """The stencil's L values.  Its h^-2 quotients multiply by 1/h^2, as
+    numpy divides a complex by a real; divide=True divides by h^2, as
+    Newton's real profile always has."""
     h = spec.spacing
     h2 = h * h
+    quotient, by = (np.divide, h2) if divide else (np.multiply, 1.0 / h2)
     out = np.empty_like(values)
-    out[:, 1:-1] = (values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:]) / h2
+    quotient(values[:, :-2] - 2.0 * values[:, 1:-1] + values[:, 2:], by, out=out[:, 1:-1])
     # Kirchhoff vertex row: with continuity, the flux condition
     # sum_e psi_e'(0) = 0 closes the stencil as an average over edges.
     v = values[0, 0]
     out[:, 0] = _vertex_coupling(spec) * np.sum(values[:, 1] - v)
-    out[:, -1] = (_FAR_END_COUPLING * values[:, -2] - 2.0 * values[:, -1]) / h2
+    quotient(_FAR_END_COUPLING * values[:, -2] - 2.0 * values[:, -1], by, out=out[:, -1])
     return out
 
 
@@ -100,7 +120,9 @@ def _laplacian_bands(spec: GraphSpec) -> np.ndarray:
 def _edge_sum(per_edge: np.ndarray, edge_count: int):
     """Sum of E per-edge values; one value (an edge-symmetric state's)
     counts E times, added as E equal values are, to the same bits."""
-    return np.broadcast_to(per_edge, (edge_count,)).sum()
+    if len(per_edge) == 1:
+        per_edge = np.repeat(per_edge, edge_count)
+    return per_edge.sum()
 
 
 class _Arrowhead:
@@ -111,10 +133,11 @@ class _Arrowhead:
     plus a scalar division.  Every edge has the same tridiagonal chain,
     shift I - bands[:, 1:], because the grid is uniform and shared.
     An edge-symmetric system (every edge row equal) is solved as one
-    row: one chain column in place of E.
+    row: one chain column in place of E.  The solution's dtype follows
+    the chain solve's: a real flow's stays float64.
     factor(chain) returns its solve, B -> chain^{-1} B for B of shape
-    (N-1, k): the descent flow passes _lapack_chain, which factors the
-    chain once in complex.  factor stays only for the Crank-Nicolson
+    (N-1, k): the descent flow passes _lapack_chain, which factors its
+    real chain once.  factor stays only for the Crank-Nicolson
     stepper, which passes a solve_banded call made through the dynamics
     module because the benchmark counts its solves there; it goes once
     that count moves to solve().  solves counts the calls to solve().
@@ -131,7 +154,11 @@ class _Arrowhead:
         self._z = self._chain_solve(e1)[:, 0]
         self._vertex_coupling = _vertex_coupling(spec)
         self._edge_count = spec.edge_count
-        self._denom = (shift - bands[1, 0]) - bands[0, 1] * self._z[0]
+        denom = (shift - bands[1, 0]) - bands[0, 1] * self._z[0]
+        # a real denominator multiplies by its reciprocal, as numpy
+        # divides a complex by a real; the stepper's complex one divides
+        self._over_denom = ((np.divide, denom) if np.iscomplexobj(denom)
+                            else (np.multiply, 1.0 / denom))
         self.solves = 0
 
     def solve(self, rhs_vertex: complex, rhs_edges: np.ndarray) -> np.ndarray:
@@ -143,22 +170,30 @@ class _Arrowhead:
         self.solves += 1
         Y = self._chain_solve(rhs_edges.T)
         heads = _edge_sum(Y[0, :], self._edge_count)
-        v = (rhs_vertex + self._vertex_coupling * heads) / self._denom
-        out = np.empty((Y.shape[1], Y.shape[0] + 1), complex)
+        over, by = self._over_denom
+        v = over(rhs_vertex + self._vertex_coupling * heads, by)
+        out = np.empty((Y.shape[1], Y.shape[0] + 1), np.result_type(Y, v))
         out[:, 0] = v
         out[:, 1:] = self._z * v + Y.T
         return out
 
 
 def _lapack_chain(chain: np.ndarray):
-    """Chain solve for the flow's _Arrowhead: the chain cast to complex
-    and factored once by LAPACK zgttrf, then one zgttrs call per B.  A
-    positive shift makes the chain strictly diagonally dominant, so the
-    factorization cannot fail."""
-    chain = chain.astype(complex)
-    # sub-, main and super-diagonal of the chain; drop zgttrf's info
-    factors = zgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
-    return lambda B: zgttrs(*factors, B)[0]
+    """Chain solve for the flow's _Arrowhead: the real chain factored
+    once by LAPACK dgttrf, then one dgttrs call per B.  A complex B (a
+    complex start's flow) is solved as its real and imaginary parts
+    stacked as columns, which gives the complex LAPACK solve's bits on
+    the complex-cast chain.  A positive shift makes the chain strictly
+    diagonally dominant, so the factorization cannot fail."""
+    # sub-, main and super-diagonal of the chain; drop dgttrf's info
+    factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
+
+    def solve(B):
+        if np.isrealobj(B):
+            return dgttrs(*factors, B)[0]
+        re, im = np.hsplit(dgttrs(*factors, np.hstack((B.real, B.imag)))[0], 2)
+        return re + 1j * im
+    return solve
 
 
 def apply_laplacian(state: GraphState) -> GraphState:

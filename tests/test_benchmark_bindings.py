@@ -8,7 +8,8 @@ count is read through ``dynamics.solve_banded`` inside the spans of
 ``dynamics.step_crank_nicolson``, so checks here keep every stepper
 solve going through that binding and every step through that function.
 The two fast workloads also run here once each, so a change to what
-their jobs and gates read fails this suite too.
+their jobs and gates read fails this suite too, and saddle_escape runs
+once under the tracer, so a flow that drops a traced call fails here.
 """
 
 import collections
@@ -35,6 +36,25 @@ def test_tracer_binds_every_traced_function(monkeypatch):
     finally:
         tracer.uninstall()
     assert [getattr(owner, attr) for _, owner, attr, _ in targets] == originals
+
+
+def test_saddle_escape_reaches_every_function_mapped_to_it(monkeypatch, tmp_path):
+    # a flow that stops calling a traced function would read zero calls
+    # in the benchmark's saddle_escape metrics
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    bench = importlib.import_module("workloads").SaddleEscape(1)
+    tracer = importlib.import_module("tracer").Tracer()
+    bench.setup()
+    tracer.install(layers.targets())
+    try:
+        assert bench.job(str(tmp_path), collections.Counter()) == 0
+    finally:
+        tracer.uninstall()
+    calls = collections.Counter(tracer.names[i] for i in tracer.columns()["name"])
+    mapped = [func for func, moves in layers.MOVES.items() if layers.SADDLE in moves]
+    assert mapped
+    assert [func for func in mapped if calls[func] == 0] == []
 
 
 def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):

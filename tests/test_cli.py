@@ -193,6 +193,16 @@ class TestFlow:
         assert summary["stalled"] is True
         assert summary["stop_reason"] == "stalled"
 
+    def test_underflowed_infimum_does_not_stop_the_flow(self, run, tmp_path):
+        # at this mass -(0.99/96) M0^3 underflows to -0.0 and the start's
+        # energy to 0, which lies above the infimum: the run stalls
+        r = run(["flow", "--mass", "1e-100", "--perturbation", "dilation:0.01",
+                 "--points", "64"], tmp_path)
+        assert r.returncode == 0
+        summary = json.loads((tmp_path / "flow_summary.json").read_text())
+        assert summary["stop_reason"] in ("stalled", "converged")
+        assert summary["final_energy"] > summary["infimum"]
+
     def test_unknown_perturbation_exit_2(self, run, tmp_path):
         # the kind is checked before the fraction
         for perturbation in ("wiggle", "wiggle:0.1", "wiggle:x", "wiggle:"):

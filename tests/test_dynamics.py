@@ -243,7 +243,7 @@ class TestEdgeSymmetricSector:
 
     def test_one_ulp_off_on_one_edge_takes_the_full_path(self, newton_512, monkeypatch):
         st, _ = newton_512
-        values = st.values.copy()
+        values = st.values.astype(complex)
         values[2, 100] = np.nextafter(values[2, 100].real, np.inf) + 1j * values[2, 100].imag
         off = GraphState(st.spec, values)
         columns = _solve_columns(monkeypatch)

@@ -98,14 +98,16 @@ class TestGraphState:
 
     @pytest.mark.parametrize("kind", ["array", "list", "broadcast"])
     def test_stores_read_only_c_ordered_complex(self, coarse_spec, kind):
-        row = np.linspace(1.0, 0.0, coarse_spec.points_per_edge)
-        source = {"array": np.array([row] * 3), "list": [row] * 3,
-                  "broadcast": np.broadcast_to(row, (3, len(row)))}[kind]
-        values = GraphState(coarse_spec, source).values
-        assert values.flags.c_contiguous
-        assert values.dtype == np.complex128
-        assert not values.flags.writeable
-        assert np.array_equal(values, np.array([row] * 3))
+        # a real input stays float64, a complex one is complex128
+        real = np.linspace(1.0, 0.0, coarse_spec.points_per_edge)
+        for row, dtype in ((real, np.float64), (real * (1.0 - 0.5j), np.complex128)):
+            source = {"array": np.array([row] * 3), "list": [row] * 3,
+                      "broadcast": np.broadcast_to(row, (3, len(row)))}[kind]
+            values = GraphState(coarse_spec, source).values
+            assert values.flags.c_contiguous
+            assert values.dtype == dtype
+            assert not values.flags.writeable
+            assert np.array_equal(values, np.array([row] * 3))
 
     def test_shape_must_match_spec(self, coarse_spec):
         with pytest.raises(DomainError):
