@@ -7,8 +7,9 @@ the battery's mass, which feeds the global lower-bound check at the
 end.  Each source (a flow's trace, a scan, a random state and its
 comparison state, a stationary state and its evolution) feeds the
 minimum in one note_energy call, where a NaN never hides a lower
-finite energy.  The scanned masses and the dilation probe's target
-follow the mass; criteria 6, 8 and 9 still hold tolerances set at M = 6.
+finite energy.  The scanned masses, the dilation probe's target and
+criterion 9's escape threshold follow the mass; criteria 6, 8 and 9
+still hold tolerances set at M = 6.
 
 Grid policy: checks run on the configured grid, except the
 random-state property suites (capped at 256 points to keep 50-state
@@ -260,7 +261,8 @@ class _Battery:
 
     def criterion_9(self):
         stationary_value = -(self.M ** 3) / 216.0
-        escaped = stationary_value - 0.05
+        # -M^3/216 - 0.05 at M = 6, scaled as the energy scales, by M^3
+        escaped = 1.05 * stationary_value
         floor = energy_infimum(self.M) - FLOOR_SLACK
         spec = self.grid(self.spec)
 

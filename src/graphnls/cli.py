@@ -90,7 +90,7 @@ def _load_config_file(path: str) -> dict:
     try:
         with open(path, encoding="utf-8") as fh:
             text = fh.read()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise DomainError(f"cannot read config file: {exc}") from exc
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
@@ -159,11 +159,22 @@ def _header(config: RunConfig) -> str:
 
 @contextmanager
 def _output_errors():
-    """Turn an OSError from the output directory into a DomainError."""
+    """Turn an OSError from the output directory, or the ValueError of a
+    path the OS layer rejects (an embedded NUL), into a DomainError."""
     try:
         yield
-    except OSError as exc:
+    except (OSError, ValueError) as exc:
         raise DomainError(f"cannot write output: {exc}") from exc
+
+
+@contextmanager
+def _allocation_errors():
+    """Turn a MemoryError, an input asking for more than can be
+    allocated, into a DomainError."""
+    try:
+        yield
+    except MemoryError as exc:
+        raise DomainError(f"out of memory: {exc}") from exc
 
 
 def _open_out(config: RunConfig, name: str):
@@ -433,8 +444,9 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        config = _resolve_config(args)
-        return args.handler(config, args)
+        with _allocation_errors():
+            config = _resolve_config(args)
+            return args.handler(config, args)
     except DomainError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

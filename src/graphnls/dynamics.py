@@ -164,12 +164,6 @@ class TraceRecorder:
                           for name, values in self.samples.items()}, metadata)
 
 
-def _banded_chain(chain: np.ndarray):
-    """Chain solve for the stepper's _Arrowhead: one call of this
-    module's solve_banded binding, which refactors the complex chain."""
-    return lambda B: solve_banded((1, 1), chain, B, check_finite=False)
-
-
 @functools.lru_cache(maxsize=8)
 def _pair_weights(spec: GraphSpec) -> np.ndarray:
     """edge_weights with each weight twice, shape (2N,): the weights of a
@@ -229,7 +223,7 @@ def step_crank_nicolson(
     if start is not None and np.shape(start) != vals.shape:
         raise DomainError(f"start shape {np.shape(start)} does not match grid {vals.shape}")
     if solver is None:
-        solver = _Arrowhead(spec, -2j / dt, _banded_chain)
+        solver = _Arrowhead(spec, -2j / dt)
     # edge-symmetric values and start have an edge-symmetric midpoint
     rows = 1 if _edge_symmetric(vals) and (start is None or _edge_symmetric(start)) else E
     psi = vals[:rows]
@@ -288,7 +282,7 @@ def evolve(state: GraphState, config: EvolutionConfig):
     current = GraphState(spec, _symmetrized(state.values))
     recorder = TraceRecorder(current)
     recorder.observe(0.0, current, energy(current).total, fixed_point_iters=0)
-    solver = _Arrowhead(spec, -2j / config.dt, _banded_chain)
+    solver = _Arrowhead(spec, -2j / config.dt)
     # a step keeps an edge-symmetric state so
     rows = 1 if _edge_symmetric(current.values) else spec.edge_count
     past = [current.values[:rows]]  # the latest states, newest first, at most six

@@ -38,7 +38,7 @@ from .graph_core import (
     mass,
     rescale_mass,
 )
-from .operators import (_Arrowhead, _lapack_chain, _symmetrized, _vertex_mean, best_omega,
+from .operators import (_Arrowhead, _symmetrized, _vertex_mean, best_omega,
                         energy, energy_gradient, weighted_norm)
 from .profiles import (
     SesquiParams,
@@ -389,7 +389,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     w = edge_weights(spec)
     h = spec.spacing
     N = spec.points_per_edge
-    resolvent = _Arrowhead(spec, 1.0, _lapack_chain)
+    resolvent = _Arrowhead(spec, 1.0)
 
     recorder = TraceRecorder(state0)
     rejected = 0

@@ -16,12 +16,12 @@ stencil for any state and a banded matrix on vertex-symmetric states.
 The Newton refinement factors the matrix, and one arrowhead solver,
 _Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
 -2i/dt) and for the descent flow's preconditioner (shift 1).  The
-stepper solves its complex chain through solve_banded, where the
-benchmark counts its solves; the flow factors its real chain once with
-LAPACK's dgttrf and solves with dgttrs, a complex right-hand side as
-its real and imaginary parts.  An edge-symmetric system, the stepper's
-on the standing wave, is solved as one edge row: one chain column in
-place of E.
+chain's dtype picks its solve: the flow's real chain is factored once
+with LAPACK's dgttrf and solved with dgttrs, a complex right-hand side
+as its real and imaginary parts; the stepper's complex chain goes
+through solve_banded on every solve.  An edge-symmetric system, the
+stepper's on the standing wave, is solved as one edge row: one chain
+column in place of E.
 
 A real (float64) state gives its complex128 twin's bits, so a real
 start's flow runs in float64 from end to end: numpy divides a complex
@@ -35,6 +35,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg import solve_banded
 from scipy.linalg.lapack import dgttrf, dgttrs
 
 from .errors import DomainError, GraphNLSError
@@ -135,19 +136,18 @@ class _Arrowhead:
     An edge-symmetric system (every edge row equal) is solved as one
     row: one chain column in place of E.  The solution's dtype follows
     the chain solve's: a real flow's stays float64.
-    factor(chain) returns its solve, B -> chain^{-1} B for B of shape
-    (N-1, k): the descent flow passes _lapack_chain, which factors its
-    real chain once.  factor stays only for the Crank-Nicolson
-    stepper, which passes a solve_banded call made through the dynamics
-    module because the benchmark counts its solves there; it goes once
-    that count moves to solve().  solves counts the calls to solve().
+    The chain's dtype picks its solve: a real chain (the flow's) is
+    factored once by _lapack_chain, a complex one (the stepper's) is
+    refactored by solve_banded per solve, where perfbench counts the
+    stepper's solves.  solves counts the calls to solve().
     """
 
-    def __init__(self, spec: GraphSpec, shift: complex, factor):
+    def __init__(self, spec: GraphSpec, shift: complex):
         bands = _laplacian_bands(spec)
         chain = (-bands[:, 1:]).astype(np.result_type(bands, shift))
         chain[1] += shift
-        self._chain_solve = factor(chain)
+        self._chain_solve = (_lapack_chain(chain) if np.isrealobj(chain) else
+                             lambda B: solve_banded((1, 1), chain, B, check_finite=False))
         # the vertex enters each chain's first row with -bands[2, 0] = -1/h^2
         e1 = np.zeros((chain.shape[1], 1))
         e1[0, 0] = bands[2, 0]

@@ -153,6 +153,16 @@ def test_the_battery_works_its_inputs_out_from_the_mass():
     assert probe.passed
 
 
+@pytest.mark.parametrize("points", [256, 512])
+def test_the_escape_threshold_follows_the_mass(points):
+    # 1.05 * -M^3/216 is -M^3/216 - 0.05 at M = 6; at M = 2 the flows
+    # stop near -0.0825, above that absolute margin's -0.087037
+    battery = _Battery(RunConfig(mass=2.0, points=points))
+    battery.run_criterion(9)
+    assert len(battery.results) == 6
+    assert all(r.passed for r in battery.results)
+
+
 def test_the_energy_floor_takes_the_least_energy_of_each_scan():
     M = 2.0
     battery = _Battery(RunConfig(mass=M, points=256))

@@ -3,10 +3,13 @@
 perfbench wraps graphnls functions by name (``perfbench/layers.py``), so
 a rename or a dropped import binding breaks the benchmark without
 breaking any other test.  This installs the tracer over the benchmark's
-targets and uninstalls it again; it times nothing.  The stepper's solve
-count is read through ``dynamics.solve_banded`` inside the spans of
-``dynamics.step_crank_nicolson``, so checks here keep every stepper
-solve going through that binding and every step through that function.
+targets and uninstalls it again; it times nothing.  The benchmark's
+``dynamics.solve_banded`` metric counts calls of scipy's solve_banded
+made through any graphnls module binding of it (the stepper's go
+through ``operators``), and its solves per step those inside the spans
+of ``dynamics.step_crank_nicolson``, so checks here keep every stepper
+solve going through such a binding, every step through that function,
+and both metrics reading the trace's midpoint iterations.
 The two fast workloads also run here once each, so a change to what
 their jobs and gates read fails this suite too, and saddle_escape runs
 once under the tracer, so a flow that drops a traced call fails here.
@@ -14,9 +17,11 @@ once under the tracer, so a flow that drops a traced call fails here.
 
 import collections
 import importlib
+import sys
 from pathlib import Path
 
 import pytest
+from scipy.linalg import solve_banded
 
 from graphnls import (EvolutionConfig, GraphSpec, SesquiParams, dynamics, evolve,
                       sesquisoliton, stationary_state)
@@ -58,14 +63,19 @@ def test_saddle_escape_reaches_every_function_mapped_to_it(monkeypatch, tmp_path
 
 
 def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
+    # counted as the tracer counts: through every graphnls module
+    # binding of scipy's solve_banded
     columns = []
-    solve_banded = dynamics.solve_banded
 
     def counted(*args, **kwargs):
         columns.append(args[2].shape[1])
         return solve_banded(*args, **kwargs)
 
-    monkeypatch.setattr(dynamics, "solve_banded", counted)
+    for name, module in list(sys.modules.items()):
+        if module is not None and name.split(".")[0] == "graphnls":
+            for attr, value in list(vars(module).items()):
+                if value is solve_banded:
+                    monkeypatch.setattr(module, attr, counted)
     spec = GraphSpec(3, 20.0, 128)
     standing, _ = stationary_state(6.0, spec)
     moving = sesquisoliton(SesquiParams.solve(1.0, 5.0), spec)
@@ -78,6 +88,30 @@ def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
         # vertex-column solve when evolve builds it
         iterations = int(trace.columns["fixed_point_iters"].sum())
         assert columns == [1] + [width] * iterations
+
+
+@pytest.mark.parametrize("initial", ["standing", "moving"])
+def test_the_tracer_counts_every_stepper_solve(monkeypatch, initial):
+    # what cn_evolution's dynamics.solve_banded.calls and
+    # dynamics.solves_per_step read: the solver's vertex-column solve
+    # plus one solve per midpoint iteration, all of them inside a step
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    layers = importlib.import_module("layers")
+    tracer = importlib.import_module("tracer").Tracer()
+    spec = GraphSpec(3, 20.0, 128)
+    state = (stationary_state(6.0, spec)[0] if initial == "standing"
+             else sesquisoliton(SesquiParams.solve(1.0, 5.0), spec))
+    config = EvolutionConfig(dt=1e-3, t_final=0.01)
+    tracer.install(layers.targets())
+    try:
+        _, trace = dynamics.evolve(state, config)
+    finally:
+        tracer.uninstall()
+    metrics = layers.per_layer_metrics(tracer, 0.0)
+    iterations = int(trace.columns["fixed_point_iters"].sum())
+    assert metrics["dynamics.step_crank_nicolson.calls"] == config.steps
+    assert metrics["dynamics.solve_banded.calls"] == iterations + 1
+    assert metrics["dynamics.solves_per_step"] == iterations / config.steps
 
 
 def test_evolve_takes_each_step_through_step_crank_nicolson(monkeypatch):

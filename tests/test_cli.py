@@ -402,6 +402,18 @@ class TestBadInput:
         assert r.stderr.startswith("error: ")
         assert "criterion" not in r.stderr
 
+    # 10^16 float64 values, 71 PiB, more than a 64-bit process can map,
+    # so the allocation fails before it touches any memory
+    @pytest.mark.parametrize("args", [
+        ["scan", "sesqui", "--m1", "0:1:10000000000000000", "--points", "64"],
+        ["profile", "stationary", "--points", "10000000000000000"],
+    ], ids=["scan_range", "profile_points"])
+    def test_failed_allocation_exit_2(self, run, tmp_path, args):
+        r = run(args, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: out of memory: ")
+        assert len(r.stderr.splitlines()) == 1
+
     def test_overflowing_dilation_is_named(self, run, tmp_path):
         r = run(["scan", "dilation", "--lambda", "1,1e300", "--points", "64"], tmp_path)
         assert r.returncode == 2
@@ -642,6 +654,20 @@ class TestConfigPlumbing:
         r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
         assert r.returncode == 2
         assert "unknown config key" in r.stderr
+
+    def test_config_file_not_utf8_exit_2(self, run, tmp_path):
+        cfg = tmp_path / "settings.txt"
+        cfg.write_bytes(b"mass = 6\n\xff\xfe points = 64\n")
+        r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: cannot read config file: ")
+
+    def test_out_with_a_nul_byte_exit_2(self, run, tmp_path):
+        cfg = tmp_path / "settings.txt"
+        cfg.write_text("out = x\0y\n")
+        r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: cannot write output: ")
 
     def test_version_flag(self, run, tmp_path):
         r = run(["--version"], tmp_path)

@@ -91,7 +91,7 @@ def test_operators_on_the_stationary_state_match_its_complex_twin(spec_512):
 
 
 def test_the_flow_resolvent_keeps_a_real_solve_real(spec_512, rng):
-    resolvent = _Arrowhead(spec_512, 1.0, _lapack_chain)
+    resolvent = _Arrowhead(spec_512, 1.0)
     rhs = rng.standard_normal((3, spec_512.points_per_edge))
     assert resolvent.solve(rhs[0, 0], rhs[:, 1:]).dtype == np.float64
     assert resolvent.solve(rhs[0, 0], rhs[:1, 1:]).dtype == np.float64
