@@ -354,6 +354,8 @@ class _Battery:
         start = time.perf_counter()
         try:
             getattr(self, f"criterion_{number}")()
+        except MemoryError:  # a grid too large to allocate is bad input
+            raise
         except Exception as exc:  # keep the battery going; report the failure
             self.check(f"criterion{number}_error", number, math.nan,
                        f"no exception, got {type(exc).__name__}: {exc}", None, False)

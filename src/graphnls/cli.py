@@ -50,8 +50,6 @@ _DEFAULT_RANGES = {
 }
 # --m1/--m2 when not given; only the sesquisoliton reads them
 _SESQUI_MASSES = {"m1": 1.0, "m2": 4.0}
-# the flow's start kinds, each a branch of cmd_flow
-_PERTURBATIONS = ("none", "shift", "deposit", "gather", "dilation")
 
 
 @dataclass(frozen=True)
@@ -243,12 +241,9 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
     if unread is not None:
         raise DomainError(f"scan {curve} does not read {flag}")
     values = _parse_values(_DEFAULT_RANGES[curve] if given is None else given)
-    if curve == "sesqui":
-        scan = scan_sesqui_curve(config.mass, values, spec)
-    elif curve == "dilation":
-        scan = scan_dilation_curve(config.mass, values, spec)
-    else:
-        scan = minimizing_sequence_demo(config.mass, values, spec)
+    scans = {"sesqui": scan_sesqui_curve, "dilation": scan_dilation_curve,
+             "minseq": minimizing_sequence_demo}
+    scan = scans[curve](config.mass, values, spec)
     metadata = {"M": config.mass, "edges": spec.edge_count,
                 "length": spec.truncation_length, "points": spec.points_per_edge}
     path = _write(config, f"scan_{curve}", scan.columns,
@@ -289,7 +284,10 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     spec = config.spec()
     kind, colon, frac = args.perturbation.partition(":")
     kind = kind.strip()
-    if kind not in _PERTURBATIONS:
+    # the starts that move a fraction of the mass between edges
+    movers = {"shift": shift_perturbation, "deposit": deposit_perturbation,
+              "gather": gather_perturbation}
+    if kind not in ("none", "dilation", *movers):
         raise DomainError(f"unknown perturbation kind: {kind!r}")
     if kind == "none" and colon:
         raise DomainError("perturbation none takes no fraction")
@@ -303,14 +301,10 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
         # iteration 0 (projected gradient 1.0e-10 at 256 points) and
         # stalls only at --grad-tol 0
         start, _ = discrete_stationary_state(config.mass, spec)
-    elif kind == "shift":
-        start = shift_perturbation(config.mass, spec, fraction)
-    elif kind == "deposit":
-        start = deposit_perturbation(config.mass, spec, fraction)
-    elif kind == "gather":
-        start = gather_perturbation(config.mass, spec, fraction)
-    else:
+    elif kind == "dilation":
         start = dilation_family(config.mass, 1.0 + fraction, spec)
+    else:
+        start = movers[kind](config.mass, spec, fraction)
     _, trace = gradient_flow_fixed_mass(_tail_checked(start), step=args.step,
                                         max_iters=args.max_iters, grad_tol=args.grad_tol)
     stalled = trace.metadata["stop_reason"] == "stalled"

@@ -185,6 +185,17 @@ class TestFlow:
         assert summary["iterations"] < 40000
         assert 0 < summary["gap_to_infimum"] <= 0.01 * -summary["infimum"]
 
+    def test_deposit_returns_to_the_stationary_energy(self, run, tmp_path):
+        r = run(["flow", "--perturbation", "deposit:0.01", "--grad-tol", "1e-3"]
+                + FAST, tmp_path)
+        assert r.returncode == 0
+        summary = json.loads((tmp_path / "flow_summary.json").read_text())
+        assert summary["perturbation"] == "deposit:0.01"
+        assert summary["stop_reason"] == "converged"
+        assert summary["iterations"] == 15
+        assert summary["final_energy"] == pytest.approx(
+            summary["stationary_energy"], abs=1e-2)
+
     def test_stall_reported_not_fatal(self, run, tmp_path):
         r = run(["flow", "--perturbation", "none", "--grad-tol", "0",
                  "--max-iters", "100"] + FAST, tmp_path)
@@ -407,12 +418,16 @@ class TestBadInput:
     @pytest.mark.parametrize("args", [
         ["scan", "sesqui", "--m1", "0:1:10000000000000000", "--points", "64"],
         ["profile", "stationary", "--points", "10000000000000000"],
-    ], ids=["scan_range", "profile_points"])
+        ["verify", "--points", "10000000000000000"],
+    ], ids=["scan_range", "profile_points", "verify_points"])
     def test_failed_allocation_exit_2(self, run, tmp_path, args):
         r = run(args, tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: out of memory: ")
         assert len(r.stderr.splitlines()) == 1
+        # the battery does not report the failure as criterion errors
+        assert r.stdout == ""
+        assert not (tmp_path / "verify_report.json").exists()
 
     def test_overflowing_dilation_is_named(self, run, tmp_path):
         r = run(["scan", "dilation", "--lambda", "1,1e300", "--points", "64"], tmp_path)
