@@ -329,7 +329,8 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     step moves along d = -(I - L)^{-1} r projected onto the sphere's
     tangent space (d -= Re<Psi, d>/M Psi), then rescales to the start's
     mass M0: Psi <- rescale_mass(Psi + s d, M0).  (I - L), with L the
-    Kirchhoff Laplacian of energy_gradient, is factored once per flow;
+    Kirchhoff Laplacian of energy_gradient, is built once per flow in
+    the start's dtype (a real start's factored once, as _Arrowhead says);
     it is the H^1 Riesz map of Danaila & Kazemi's Sobolev gradient, so
     the usable step does not shrink with h^2 and the iteration count of
     a run does not grow with the grid.  Backtracking: a trial step that
@@ -389,7 +390,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     w = edge_weights(spec)
     h = spec.spacing
     N = spec.points_per_edge
-    resolvent = _Arrowhead(spec, 1.0)
+    resolvent = _Arrowhead(spec, state0.values.dtype.type(1.0))
 
     recorder = TraceRecorder(state0)
     rejected = 0

@@ -15,13 +15,13 @@ The Kirchhoff Laplacian L (natural far end) is written here once: a
 stencil for any state and a banded matrix on vertex-symmetric states.
 The Newton refinement factors the matrix, and one arrowhead solver,
 _Arrowhead, inverts shift I - L for the Crank-Nicolson stepper (shift
--2i/dt) and for the descent flow's preconditioner (shift 1).  The
-chain's dtype picks its solve: the flow's real chain is factored once
-with LAPACK's dgttrf and solved with dgttrs, a complex right-hand side
-as its real and imaginary parts; the stepper's complex chain goes
-through solve_banded on every solve.  An edge-symmetric system, the
-stepper's on the standing wave, is solved as one edge row: one chain
-column in place of E.
+-2i/dt) and for the descent flow's preconditioner (shift 1, in the
+start's dtype).  The chain's dtype picks its solve: a real chain (a
+real start's flow) is factored once with LAPACK's dgttrf and solved
+with dgttrs; a complex chain (the stepper's, or a complex start's
+flow) goes through solve_banded on every solve.  An edge-symmetric
+system, the stepper's on the standing wave, is solved as one edge row:
+one chain column in place of E.
 
 A real (float64) state gives its complex128 twin's bits, so a real
 start's flow runs in float64 from end to end: numpy divides a complex
@@ -135,19 +135,26 @@ class _Arrowhead:
     shift I - bands[:, 1:], because the grid is uniform and shared.
     An edge-symmetric system (every edge row equal) is solved as one
     row: one chain column in place of E.  The solution's dtype follows
-    the chain solve's: a real flow's stays float64.
-    The chain's dtype picks its solve: a real chain (the flow's) is
-    factored once by _lapack_chain, a complex one (the stepper's) is
-    refactored by solve_banded per solve, where perfbench counts the
-    stepper's solves.  solves counts the calls to solve().
+    the chain's, and a real chain takes only real right-hand sides.
+    The chain's dtype picks its solve: a real chain (a real start's
+    flow) is factored once by LAPACK dgttrf, a complex one (the
+    stepper's, or a complex start's flow) is refactored by solve_banded
+    per solve, where perfbench counts the stepper's solves.  solves
+    counts the calls to solve().
     """
 
     def __init__(self, spec: GraphSpec, shift: complex):
         bands = _laplacian_bands(spec)
         chain = (-bands[:, 1:]).astype(np.result_type(bands, shift))
         chain[1] += shift
-        self._chain_solve = (_lapack_chain(chain) if np.isrealobj(chain) else
-                             lambda B: solve_banded((1, 1), chain, B, check_finite=False))
+        if np.isrealobj(chain):
+            # sub-, main and super-diagonal, dgttrf's info dropped: a
+            # positive shift makes the chain strictly diagonally dominant,
+            # so the factorization cannot fail
+            factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
+            self._chain_solve = lambda B: dgttrs(*factors, B)[0]
+        else:
+            self._chain_solve = lambda B: solve_banded((1, 1), chain, B, check_finite=False)
         # the vertex enters each chain's first row with -bands[2, 0] = -1/h^2
         e1 = np.zeros((chain.shape[1], 1))
         e1[0, 0] = bands[2, 0]
@@ -176,24 +183,6 @@ class _Arrowhead:
         out[:, 0] = v
         out[:, 1:] = self._z * v + Y.T
         return out
-
-
-def _lapack_chain(chain: np.ndarray):
-    """Chain solve for the flow's _Arrowhead: the real chain factored
-    once by LAPACK dgttrf, then one dgttrs call per B.  A complex B (a
-    complex start's flow) is solved as its real and imaginary parts
-    stacked as columns, which gives the complex LAPACK solve's bits on
-    the complex-cast chain.  A positive shift makes the chain strictly
-    diagonally dominant, so the factorization cannot fail."""
-    # sub-, main and super-diagonal of the chain; drop dgttrf's info
-    factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
-
-    def solve(B):
-        if np.isrealobj(B):
-            return dgttrs(*factors, B)[0]
-        re, im = np.hsplit(dgttrs(*factors, np.hstack((B.real, B.imag)))[0], 2)
-        return re + 1j * im
-    return solve
 
 
 def apply_laplacian(state: GraphState) -> GraphState:

@@ -9,7 +9,8 @@ made through any graphnls module binding of it (the stepper's go
 through ``operators``), and its solves per step those inside the spans
 of ``dynamics.step_crank_nicolson``, so checks here keep every stepper
 solve going through such a binding, every step through that function,
-and both metrics reading the trace's midpoint iterations.
+and both metrics reading the trace's midpoint iterations; a real
+start's flow, saddle_escape's, makes no such call.
 The two fast workloads also run here once each, so a change to what
 their jobs and gates read fails this suite too, and saddle_escape runs
 once under the tracer, so a flow that drops a traced call fails here.
@@ -23,8 +24,9 @@ from pathlib import Path
 import pytest
 from scipy.linalg import solve_banded
 
-from graphnls import (EvolutionConfig, GraphSpec, SesquiParams, dynamics, evolve,
-                      sesquisoliton, stationary_state)
+from graphnls import (EvolutionConfig, GraphSpec, GraphState, SesquiParams, dynamics, evolve,
+                      gradient_flow_fixed_mass, sesquisoliton, shift_perturbation,
+                      stationary_state)
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
@@ -62,9 +64,10 @@ def test_saddle_escape_reaches_every_function_mapped_to_it(monkeypatch, tmp_path
     assert [func for func in mapped if calls[func] == 0] == []
 
 
-def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
-    # counted as the tracer counts: through every graphnls module
-    # binding of scipy's solve_banded
+def count_solve_banded(monkeypatch):
+    """The column count of each solve_banded call from now on, counted
+    as the tracer counts: through every graphnls module binding of
+    scipy's solve_banded."""
     columns = []
 
     def counted(*args, **kwargs):
@@ -76,6 +79,11 @@ def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
             for attr, value in list(vars(module).items()):
                 if value is solve_banded:
                     monkeypatch.setattr(module, attr, counted)
+    return columns
+
+
+def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
+    columns = count_solve_banded(monkeypatch)
     spec = GraphSpec(3, 20.0, 128)
     standing, _ = stationary_state(6.0, spec)
     moving = sesquisoliton(SesquiParams.solve(1.0, 5.0), spec)
@@ -88,6 +96,19 @@ def test_every_stepper_solve_goes_through_solve_banded(monkeypatch):
         # vertex-column solve when evolve builds it
         iterations = int(trace.columns["fixed_point_iters"].sum())
         assert columns == [1] + [width] * iterations
+
+
+def test_only_a_complex_start_flows_through_solve_banded(monkeypatch):
+    # saddle_escape's real flow factors its chain once, so no call reaches
+    # the tracer's solve count; its complex twin solves the vertex column,
+    # then one 3-column direction per accepted step
+    columns = count_solve_banded(monkeypatch)
+    start = shift_perturbation(6.0, GraphSpec(3, 30.0, 512), 0.01)
+    gradient_flow_fixed_mass(start, 0.1, 40000, 1e-6)
+    assert columns == []
+    twin = GraphState(start.spec, start.values.astype(complex))
+    _, trace = gradient_flow_fixed_mass(twin, 0.1, 40000, 1e-6)
+    assert columns == [1] + [3] * trace.metadata["accepted_steps"]
 
 
 @pytest.mark.parametrize("initial", ["standing", "moving"])

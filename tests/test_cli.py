@@ -331,6 +331,18 @@ class TestVerify:
 
 
 class TestBadInput:
+    # the message of each check that only its case below reaches
+    MESSAGES = {
+        "verify_--points_5": "battery needs at least 8 points per edge",
+        "scan_sesqui_--config_format = xml": "format must be csv or json",
+        "scan_sesqui_--config_points": "bad config line",
+        "scan_sesqui_--config_points = many": "bad value for points",
+        "scan_sesqui_--m1_0.1:1": "expected start:stop:count",
+        "scan_sesqui_--m1_0.1:1:0": "count must be >= 1",
+        "evolve_--observe-every_0": "observe_every must be >= 1",
+        "flow_--max-iters_-1": "max_iters must be nonnegative",
+    }
+
     @pytest.mark.parametrize("args", [
         ["profile", "stationary", "--length", "inf"],
         ["profile", "stationary", "--length", "nan"],
@@ -386,15 +398,33 @@ class TestBadInput:
         # --m1 and --m2 shape only the sesquisoliton
         ["profile", "stationary", "--m1", "5", "--m2", "0.1"],
         ["evolve", "--initial", "stationary", "--m1", "nan", "--t-final", "0.02"],
+        ["verify", "--points", "5"],
+        # a --config value here is the text of the config file
+        ["scan", "sesqui", "--config", "format = xml"],
+        ["scan", "sesqui", "--config", "points"],
+        ["scan", "sesqui", "--config", "points = many"],
+        ["scan", "sesqui", "--m1", "0.1:1"],
+        ["scan", "sesqui", "--m1", "0.1:1:0"],
+        ["evolve", "--observe-every", "0"],
+        ["flow", "--max-iters", "-1"],
     ], ids="_".join)
-    def test_exit_2_with_a_message(self, run, tmp_path, args):
+    def test_exit_2_with_a_message(self, run, tmp_path, tmp_path_factory, args):
+        message = self.MESSAGES.get("_".join(args), "")
+        if "--config" in args:
+            # written outside the run's directory, which must stay empty
+            at = args.index("--config") + 1
+            cfg = tmp_path_factory.mktemp("config") / "settings.txt"
+            cfg.write_text(args[at] + "\n")
+            args = args[:at] + [str(cfg)] + args[at + 1:]
         # a numpy warning on the way to the error would be printed
-        # before it, so warnings fail the run here
+        # before it, so warnings fail the run here; a case's own
+        # --points comes after the default 64, so it wins
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            r = run(args + ["--points", "64"], tmp_path)
+            r = run(args[:1] + ["--points", "64"] + args[1:], tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: ")
+        assert message in r.stderr
         assert not any(tmp_path.iterdir())
 
     def test_out_naming_a_file_is_a_usage_error(self, run, tmp_path):

@@ -248,6 +248,16 @@ class TestEdgeSymmetricSector:
         b = step_crank_nicolson(st, 1e-3, start=start)
         assert _same_bits(a.values, b.values)
 
+    def test_a_fortran_ordered_start_steps_as_a_c_ordered_one(self, newton_512, monkeypatch):
+        # _edge_symmetric compares a strided start's rows on a C-ordered copy
+        st, _ = newton_512
+        start = 1.5 * step_crank_nicolson(st, 1e-3).values - 0.5 * st.values
+        a = step_crank_nicolson(st, 1e-3, start=start)
+        columns = _solve_columns(monkeypatch)
+        b = step_crank_nicolson(st, 1e-3, start=np.asfortranarray(start))
+        assert set(columns) == {1}
+        assert _same_bits(a.values, b.values)
+
     def test_one_ulp_off_on_one_edge_takes_the_full_path(self, newton_512, monkeypatch):
         st, _ = newton_512
         values = st.values.astype(complex)

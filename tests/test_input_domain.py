@@ -5,7 +5,8 @@ a grid, a time-stepping configuration, a descent-flow call, a total
 mass (of the stationary state or of a flow start) and a sesquisoliton's
 masses are either valid (and then behave) or rejected up front with
 DomainError, never a ValueError, an OverflowError or a failure
-part-way through.
+part-way through.  A table at the end names each library check that
+no other test reaches, by the error it raises and its message.
 """
 
 import math
@@ -20,12 +21,20 @@ from hypothesis import strategies as st
 from graphnls import (
     DomainError,
     EvolutionConfig,
+    GraphNLSError,
     GraphSpec,
+    GraphState,
     SesquiParams,
+    best_omega,
     deposit_perturbation,
+    dilation_family,
+    discrete_stationary_state,
     energy,
+    energy_infimum,
+    energy_sesqui_closed,
     gather_perturbation,
     gradient_flow_fixed_mass,
+    hessian_probe,
     mass,
     sesquisoliton,
     shift_perturbation,
@@ -190,3 +199,33 @@ def test_sesqui_masses_give_an_offset_or_a_domain_error(m1, m2):
         except DomainError:
             return
     assert params.offset >= 0.0  # False for NaN
+
+
+SPEC = GraphSpec(3, 20.0, 16)
+ZERO = GraphState(SPEC, np.zeros((3, 16)))
+LINE = GraphSpec(2, 20.0, 16)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: GraphState(SPEC, np.full((3, 16), np.nan)), DomainError,
+     "state contains non-finite values"),
+    (lambda: best_omega(ZERO), GraphNLSError, "best_omega is undefined for the zero state"),
+    (lambda: gradient_flow_fixed_mass(ZERO, 0.1, 3, 1e-6), DomainError,
+     "gradient flow needs a state with positive mass"),
+    (lambda: discrete_stationary_state(0.0, SPEC), DomainError, "total mass must be positive"),
+    (lambda: dilation_family(0.0, 1.0, SPEC), DomainError, "total mass must be positive"),
+    (lambda: energy_infimum(0.0), DomainError, "total mass must be positive"),
+    (lambda: energy_sesqui_closed(0.5, 0.0), DomainError, "total mass must be positive"),
+    (lambda: dilation_family(M, 1.0, LINE), DomainError,
+     "the symmetric state lives on the 3-edge star"),
+    (lambda: shift_perturbation(M, LINE, 0.01), DomainError,
+     "shift perturbation is defined on the 3-edge star"),
+    (lambda: hessian_probe(ZERO, stationary_state(M, SPEC)[0], 1e-3), DomainError,
+     "probe center must have positive mass"),
+], ids=["nan_state", "best_omega_zero", "flow_zero", "newton_mass_0", "dilation_mass_0",
+        "infimum_mass_0", "sesqui_closed_mass_0", "dilation_2_edges", "shift_2_edges",
+        "hessian_zero_center"])
+def test_refused_call_names_its_check(call, error, message):
+    with pytest.raises(error, match=message) as info:
+        call()
+    assert info.type is error

@@ -59,6 +59,10 @@ class TestScans:
         scan = scan_sesqui_curve(M, [1.0, 2.0], spec)
         assert list(scan.columns) == ["param", "closed_energy", "discrete_energy", "offset"]
 
+    def test_param_values_are_the_scanned_values(self):
+        scan = scan_dilation_curve(M, [0.9, 1.0, 1.1], GraphSpec(3, 30.0, 256))
+        assert scan.param_values.tobytes() == np.array([0.9, 1.0, 1.1]).tobytes()
+
     def test_dilation_minimum_at_unit_factor(self):
         spec = GraphSpec(3, 30.0, 1024)
         scan = scan_dilation_curve(M, [0.9, 1.0, 1.1], spec)
@@ -385,7 +389,8 @@ class TestSobolevDirection:
     def direction(state):
         g = energy_gradient(state)
         r = g.values + best_omega(state, g) * state.values
-        resolvent = _Arrowhead(state.spec, 1.0)
+        # in the state's dtype, as the flow builds it
+        resolvent = _Arrowhead(state.spec, state.values.dtype.type(1.0))
         d = landscape._sobolev_direction(state, r, mass(state), resolvent)
         return g, d
 

@@ -45,6 +45,17 @@ def state_alive_at_far_end(spec, rng):
     return GraphState(spec, st.values + shift)
 
 
+def in_dtype(values, dtype):
+    """A complex right-hand side in dtype: float keeps its real part."""
+    return values.real if dtype is float else values
+
+
+# the stepper's shift and the flow's, the flow's for either start dtype
+STEPPER_AND_FLOW = pytest.mark.parametrize(
+    "shift, dtype", [(-2j / 1e-3, complex), (1.0, complex), (1.0, float)],
+    ids=["stepper", "flow", "flow-real"])
+
+
 class TestWeightedInner:
     def test_norm_squared_is_mass(self, coarse_spec, rng):
         st = random_vertex_continuous_state(coarse_spec, rng, target_mass=M)
@@ -123,21 +134,28 @@ class TestOneMatrix:
         assert _laplacian_values(one_edge, spec)[0, 0] == _vertex_coupling(spec)
 
     # the stepper's ((-2i/dt) I - L) W = -rhs for dt = +-1e-3 and the
-    # flow's (I - L) W = rhs; at L = 5/N = 4096 the stencil's own
-    # rounding reads 1.1e-10, so that grid would measure the measurement
-    @pytest.mark.parametrize("shift, length, points", [
-        (-2j / 1e-3, 5.0, 257),
-        (-2j / -1e-3, 5.0, 257),
-        (1.0, 5.0, 257),
-        (1.0, 30.0, 4096),
-        (-2j / 1e-3, 5.0, 4),
-        (1.0, 5.0, 4),
+    # flow's (I - L) W = rhs, each solver built in its right-hand side's
+    # dtype as the flow builds it from its start's; at L = 5/N = 4096
+    # the stencil's own rounding reads 1.1e-10, so that grid would
+    # measure the measurement
+    @pytest.mark.parametrize("shift, length, points, dtype", [
+        (-2j / 1e-3, 5.0, 257, complex),
+        (-2j / -1e-3, 5.0, 257, complex),
+        (1.0, 5.0, 257, complex),
+        (1.0, 30.0, 4096, complex),
+        (-2j / 1e-3, 5.0, 4, complex),
+        (1.0, 5.0, 4, complex),
+        (1.0, 5.0, 257, float),
+        (1.0, 30.0, 4096, float),
+        (1.0, 5.0, 4, float),
     ], ids=["stepper-dt=1e-3", "stepper-dt=-1e-3", "flow-5.0-257", "flow-30.0-4096",
-            "stepper-5.0-4", "flow-5.0-4"])
-    def test_arrowhead_inverts_the_shifted_laplacian(self, rng, shift, length, points):
+            "stepper-5.0-4", "flow-5.0-4",
+            "flow-real-5.0-257", "flow-real-30.0-4096", "flow-real-5.0-4"])
+    def test_arrowhead_inverts_the_shifted_laplacian(self, rng, shift, length, points, dtype):
         spec = GraphSpec(3, length, points)
-        rhs = state_alive_at_far_end(spec, rng).values
-        W = _Arrowhead(spec, shift).solve(rhs[:, 0].mean(), rhs[:, 1:])
+        rhs = in_dtype(state_alive_at_far_end(spec, rng).values, dtype)
+        W = _Arrowhead(spec, rhs.dtype.type(shift)).solve(rhs[:, 0].mean(), rhs[:, 1:])
+        assert W.dtype == rhs.dtype
         residual = shift * W - _laplacian_values(W, spec) - rhs
         assert np.linalg.norm(residual) <= 1e-10 * np.linalg.norm(rhs)
 
@@ -146,12 +164,14 @@ class TestOneMatrix:
     # but not for E = 6, so that case pins the order of the sum
     @pytest.mark.parametrize("edges", [2, 3, 4, 6])
     @pytest.mark.parametrize("points", [4, 257])
-    @pytest.mark.parametrize("shift", [-2j / 1e-3, 1.0], ids=["stepper", "flow"])
-    def test_one_row_solve_is_every_row_of_the_full_solve(self, rng, edges, points, shift):
+    @STEPPER_AND_FLOW
+    def test_one_row_solve_is_every_row_of_the_full_solve(self, rng, edges, points, shift,
+                                                          dtype):
         spec = GraphSpec(edges, 5.0, points)
-        solver = _Arrowhead(spec, shift)
+        solver = _Arrowhead(spec, np.dtype(dtype).type(shift))
         for _ in range(8):
-            row = rng.standard_normal(points) + 1j * rng.standard_normal(points)
+            row = in_dtype(rng.standard_normal(points) + 1j * rng.standard_normal(points),
+                           dtype)
             rhs = np.tile(row, (edges, 1))
             full = solver.solve(row[0], rhs[:, 1:])
             one = solver.solve(row[0], rhs[:1, 1:])
@@ -159,11 +179,12 @@ class TestOneMatrix:
 
     # the stepper keeps each iterate as the next one's input, so a solve
     # must hand back a new array and never touch an earlier result
-    @pytest.mark.parametrize("shift", [-2j / 1e-3, 1.0], ids=["stepper", "flow"])
-    def test_each_solve_returns_a_new_array(self, rng, shift):
+    @STEPPER_AND_FLOW
+    def test_each_solve_returns_a_new_array(self, rng, shift, dtype):
         spec = GraphSpec(3, 5.0, 257)
-        solver = _Arrowhead(spec, shift)
-        first_rhs, second_rhs = (state_alive_at_far_end(spec, rng).values for _ in range(2))
+        solver = _Arrowhead(spec, np.dtype(dtype).type(shift))
+        first_rhs, second_rhs = (in_dtype(state_alive_at_far_end(spec, rng).values, dtype)
+                                 for _ in range(2))
         first = solver.solve(first_rhs[:, 0].mean(), first_rhs[:, 1:])
         kept = first.copy()
         second = solver.solve(second_rhs[:, 0].mean(), second_rhs[:, 1:])

@@ -18,7 +18,7 @@ from graphnls import (EvolutionConfig, GraphSpec, GraphState, apply_laplacian,
                       discrete_stationary_state, el_residual, energy, energy_gradient,
                       evolve, gather_perturbation, gradient_flow_fixed_mass,
                       shift_perturbation, weighted_inner)
-from graphnls.operators import _Arrowhead, _lapack_chain, _laplacian_bands
+from graphnls.operators import _Arrowhead, _laplacian_bands
 
 M = 6.0
 
@@ -99,14 +99,14 @@ def test_the_flow_resolvent_keeps_a_real_solve_real(spec_512, rng):
 
 @pytest.mark.parametrize("points", [4, 257, 4096])
 def test_lapack_chain_solves_a_complex_b_as_zgttrs_does(rng, points):
-    # the flow's chain: shift 1 minus the Laplacian's bands, N - 1 unknowns
-    bands = _laplacian_bands(GraphSpec(3, 30.0, points))
-    chain = -bands[:, 1:]
-    chain[1] += 1.0
+    # a complex start's flow chain: complex shift 1 minus the Laplacian's
+    # bands, N - 1 unknowns, solved by LAPACK through solve_banded
+    spec = GraphSpec(3, 30.0, points)
+    complex_chain = (-_laplacian_bands(spec)[:, 1:]).astype(complex)
+    complex_chain[1] += 1.0
     B = rng.standard_normal((points - 1, 3)) + 1j * rng.standard_normal((points - 1, 3))
-    complex_chain = chain.astype(complex)
     factors = zgttrf(complex_chain[2, :-1], complex_chain[1], complex_chain[0, 1:])[:5]
     expected = zgttrs(*factors, B)[0]
-    got = _lapack_chain(chain)(B)
+    got = _Arrowhead(spec, np.complex128(1.0))._chain_solve(B)
     assert got.dtype == np.complex128
     assert got.tobytes() == expected.tobytes()
