@@ -9,6 +9,8 @@ exception is the wall time of each criterion in verify_report.json's
 "criteria" list, which verify also prints to stderr.
 
 Exit codes: 0 success, 1 check or run failure, 2 usage/config error.
+A failure from outside the program (the OS, decoding, allocation)
+becomes a DomainError, so exit 2, through one translator: _domain_errors.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ import math
 import os
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, field, fields
 
 import numpy as np
 
@@ -83,13 +85,23 @@ class RunConfig:
 _CASTS = {f.name: type(f.default) for f in fields(RunConfig)}
 
 
+@contextmanager
+def _domain_errors(kinds, what: str):
+    """Turn an exception of the given kinds into DomainError(what: exc).
+    DomainError is a ValueError, so a block that catches ValueError holds
+    only the outside call it guards, never library code."""
+    try:
+        yield
+    except kinds as exc:
+        raise DomainError(f"{what}: {exc}") from exc
+
+
 def _load_config_file(path: str) -> dict:
     values = {}
-    try:
-        with open(path, encoding="utf-8") as fh:
-            text = fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise DomainError(f"cannot read config file: {exc}") from exc
+    # ValueError: a file that is not UTF-8, or a NUL byte in the path
+    with (_domain_errors((OSError, ValueError), "cannot read config file"),
+          open(path, encoding="utf-8") as fh):
+        text = fh.read()
     for raw in text.splitlines():
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -108,22 +120,14 @@ def _load_config_file(path: str) -> dict:
 
 
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    config = RunConfig()
-    if args.config is not None:
-        config = replace(config, **_load_config_file(args.config))
-    env_out = os.environ.get("GRAPHNLS_OUT")
-    if env_out:
-        config = replace(config, out=env_out)
-    overrides = {}
-    for name in _CASTS:
-        value = getattr(args, name, None)
-        if value is not None:
-            overrides[name] = value
-    if overrides:
-        config = replace(config, **overrides)
+    values = {} if args.config is None else _load_config_file(args.config)
+    if env_out := os.environ.get("GRAPHNLS_OUT"):
+        values["out"] = env_out
+    values.update((k, v) for k, v in vars(args).items() if k in _CASTS and v is not None)
+    config = RunConfig(**values)
     config.validate()
     # made before the run, so an output that cannot be written fails fast
-    with _output_errors():
+    with _domain_errors((OSError, ValueError), "cannot write output"):
         os.makedirs(config.out, exist_ok=True)
     return config
 
@@ -131,7 +135,7 @@ def _resolve_config(args: argparse.Namespace) -> RunConfig:
 def _parse_values(text: str) -> list:
     """Range spec: 'start:stop:count' (inclusive) or a comma list."""
     text = text.strip()
-    try:
+    with _domain_errors(ValueError, f"bad range spec {text!r}"):
         if ":" in text:
             parts = text.split(":")
             if len(parts) != 3:
@@ -141,8 +145,6 @@ def _parse_values(text: str) -> list:
                 raise ValueError("count must be >= 1")
             return [float(v) for v in np.linspace(start, stop, count)]
         return [float(v) for v in text.split(",") if v.strip()]
-    except ValueError as exc:
-        raise DomainError(f"bad range spec {text!r}: {exc}") from exc
 
 
 def _header(config: RunConfig) -> str:
@@ -155,30 +157,10 @@ def _header(config: RunConfig) -> str:
             f"# grid: h={h:.17g}\n")
 
 
-@contextmanager
-def _output_errors():
-    """Turn an OSError from the output directory, or the ValueError of a
-    path the OS layer rejects (an embedded NUL), into a DomainError."""
-    try:
-        yield
-    except (OSError, ValueError) as exc:
-        raise DomainError(f"cannot write output: {exc}") from exc
-
-
-@contextmanager
-def _allocation_errors():
-    """Turn a MemoryError, an input asking for more than can be
-    allocated, into a DomainError."""
-    try:
-        yield
-    except MemoryError as exc:
-        raise DomainError(f"out of memory: {exc}") from exc
-
-
 def _open_out(config: RunConfig, name: str):
     """The file name in the output directory (made by _resolve_config),
-    opened for writing."""
-    with _output_errors():
+    opened for writing; ValueError is a path with a NUL byte."""
+    with _domain_errors((OSError, ValueError), "cannot write output"):
         return open(os.path.join(config.out, name), "w", encoding="utf-8")
 
 
@@ -438,7 +420,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        with _allocation_errors():
+        # an input asking for more than can be allocated
+        with _domain_errors(MemoryError, "out of memory"):
             config = _resolve_config(args)
             return args.handler(config, args)
     except DomainError as exc:

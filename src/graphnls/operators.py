@@ -152,7 +152,14 @@ class _Arrowhead:
             # positive shift makes the chain strictly diagonally dominant,
             # so the factorization cannot fail
             factors = dgttrf(chain[2, :-1], chain[1], chain[0, 1:])[:5]
-            self._chain_solve = lambda B: dgttrs(*factors, B)[0]
+
+            def chain_solve(B):
+                # dgttrs would cast a complex B to float64 with a warning
+                if np.iscomplexobj(B):
+                    raise DomainError(f"a {chain.dtype} chain takes no {B.dtype} "
+                                      "right-hand side")
+                return dgttrs(*factors, B)[0]
+            self._chain_solve = chain_solve
         else:
             self._chain_solve = lambda B: solve_banded((1, 1), chain, B, check_finite=False)
         # the vertex enters each chain's first row with -bands[2, 0] = -1/h^2

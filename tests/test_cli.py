@@ -680,6 +680,29 @@ class TestConfigPlumbing:
         assert (tmp_path / "flagout" / "scan_sesqui.csv").exists()
         assert not (tmp_path / "envout").exists()
 
+    def test_env_var_beats_config_file(self, run, tmp_path, monkeypatch):
+        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
+        cfg = tmp_path / "settings.txt"
+        cfg.write_text("out = cfgout\n")
+        r = run(["scan", "sesqui", "--m1", "1.0", "--config", str(cfg)] + FAST,
+                tmp_path)
+        assert r.returncode == 0
+        assert (tmp_path / "envout" / "scan_sesqui.csv").exists()
+        assert not (tmp_path / "cfgout").exists()
+
+    def test_flags_beat_env_var_beats_config_file(self, run, tmp_path, monkeypatch):
+        # --mass 6 is the default, and a flag equal to its default still
+        # beats the file's value
+        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
+        cfg = tmp_path / "settings.txt"
+        cfg.write_text("mass = 4\npoints = 128\nout = cfgout\n")
+        r = run(["scan", "sesqui", "--m1", "0.5", "--config", str(cfg),
+                 "--points", "64", "--mass", "6"], tmp_path)
+        assert r.returncode == 0
+        header = (tmp_path / "envout" / "scan_sesqui.csv").read_text().splitlines()[1]
+        assert "mass=6 " in header and "points=64 " in header
+        assert not (tmp_path / "cfgout").exists()
+
     def test_config_file_and_flag_precedence(self, run, tmp_path):
         cfg = tmp_path / "settings.txt"
         cfg.write_text("mass = 4\npoints = 128\nlength = 20\n")
@@ -706,6 +729,12 @@ class TestConfigPlumbing:
         r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: cannot read config file: ")
+
+    def test_config_path_with_a_nul_byte_exit_2(self, run, tmp_path):
+        r = run(["scan", "sesqui", "--config", "bad\0path"] + FAST, tmp_path)
+        assert r.returncode == 2
+        assert r.stderr.startswith("error: cannot read config file: ")
+        assert list(tmp_path.iterdir()) == []
 
     def test_out_with_a_nul_byte_exit_2(self, run, tmp_path):
         cfg = tmp_path / "settings.txt"

@@ -192,6 +192,15 @@ class TestOneMatrix:
         assert first.tobytes() == kept.tobytes()
         assert not np.array_equal(first, second)
 
+    # dgttrs would cast a complex right-hand side to float64 and drop its
+    # imaginary part; the real chain refuses one, on E rows and on one row
+    @pytest.mark.parametrize("rows", [3, 1], ids=["E-rows", "one-row"])
+    def test_real_chain_refuses_a_complex_right_hand_side(self, rng, rows):
+        spec = GraphSpec(3, 30.0, 64)
+        rhs = rng.standard_normal((rows, 63)) + 1j * rng.standard_normal((rows, 63))
+        with pytest.raises(DomainError, match="float64 chain takes no complex128"):
+            _Arrowhead(spec, 1.0).solve(0.0, rhs)
+
 
 class TestEnergy:
     def test_report_is_consistent(self, coarse_spec, rng):
