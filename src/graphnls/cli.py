@@ -45,14 +45,6 @@ from .operators import energy
 from .profiles import (SesquiParams, _require_finite_energy, dilation_family,
                        energy_infimum, sesquisoliton, stationary_state)
 
-_DEFAULT_RANGES = {
-    "sesqui": "0.01:2.0:40",
-    "dilation": "0.5:1.5:21",
-    "minseq": "1,0.5,0.1,0.02",
-}
-# --m1/--m2 when not given; only the sesquisoliton reads them
-_SESQUI_MASSES = {"m1": 1.0, "m2": 4.0}
-
 
 @dataclass(frozen=True)
 class RunConfig:
@@ -222,10 +214,18 @@ def cmd_scan(config: RunConfig, args: argparse.Namespace) -> int:
                            else ("--lambda", args.lam, args.m1))
     if unread is not None:
         raise DomainError(f"scan {curve} does not read {flag}")
-    values = _parse_values(_DEFAULT_RANGES[curve] if given is None else given)
+    M = config.mass
+    if given is not None:
+        values = _parse_values(given)
+    elif curve == "sesqui":
+        values = np.linspace(M / 600.0, M / 3.0, 40)
+    elif curve == "minseq":
+        values = [M / 6.0, M / 12.0, M / 60.0, M / 300.0]
+    else:
+        values = np.linspace(0.5, 1.5, 21)
     scans = {"sesqui": scan_sesqui_curve, "dilation": scan_dilation_curve,
              "minseq": minimizing_sequence_demo}
-    scan = scans[curve](config.mass, values, spec)
+    scan = scans[curve](M, values, spec)
     metadata = {"M": config.mass, "edges": spec.edge_count,
                 "length": spec.truncation_length, "points": spec.points_per_edge}
     path = _write(config, f"scan_{curve}", scan.columns,
@@ -245,12 +245,12 @@ def _tail_checked(state):
 
 def _named_state(kind: str, config: RunConfig, args: argparse.Namespace):
     if kind == "stationary":
-        if args.m1 is not None or args.m2 is not None:
-            raise DomainError("the stationary state does not read --m1 or --m2")
+        if args.m1 is not None:
+            raise DomainError("the stationary state does not read --m1")
         return _tail_checked(stationary_state(config.mass, config.spec())[0])
-    m1 = _SESQUI_MASSES["m1"] if args.m1 is None else args.m1
-    m2 = _SESQUI_MASSES["m2"] if args.m2 is None else args.m2
-    return _tail_checked(sesquisoliton(SesquiParams.solve(m1, m2), config.spec()))
+    m1 = config.mass / 6.0 if args.m1 is None else args.m1
+    return _tail_checked(sesquisoliton(SesquiParams.solve(m1, config.mass - m1),
+                                       config.spec()))
 
 
 def cmd_profile(config: RunConfig, args: argparse.Namespace) -> int:
@@ -293,7 +293,7 @@ def cmd_flow(config: RunConfig, args: argparse.Namespace) -> int:
     final_energy = float(trace.energies[-1])
     infimum = energy_infimum(config.mass)
     summary = {
-        "perturbation": f"{kind}:{fraction:g}",
+        "perturbation": kind if kind == "none" else f"{kind}:{fraction:g}",
         "iterations": int(trace.times[-1]),
         "final_energy": final_energy,
         "infimum": infimum,
@@ -371,19 +371,15 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", help="tabulate an energy curve")
     p.add_argument("curve", choices=("sesqui", "dilation", "minseq"))
     p.add_argument("--m1", help="m1 values, 'start:stop:count' or comma list "
-                   f"(sesqui default {_DEFAULT_RANGES['sesqui']}, "
-                   f"minseq default {_DEFAULT_RANGES['minseq']})")
-    p.add_argument("--lambda", dest="lam",
-                   help=f"dilation factors (default {_DEFAULT_RANGES['dilation']})")
+                   "(sesqui default M/600:M/3:40, minseq default M/6,M/12,M/60,M/300)")
+    p.add_argument("--lambda", dest="lam", help="dilation factors (default 0.5:1.5:21)")
     _add_common(p, "format")
     p.set_defaults(handler=cmd_scan)
 
     p = sub.add_parser("profile", help="sample a named profile to a table")
     p.add_argument("kind", choices=("stationary", "sesqui"))
     p.add_argument("--m1", type=float,
-                   help=f"sesqui first-edge mass (default {_SESQUI_MASSES['m1']})")
-    p.add_argument("--m2", type=float,
-                   help=f"sesqui remaining mass (default {_SESQUI_MASSES['m2']})")
+                   help="sesqui first-edge mass; the others hold M - m1 (default M/6)")
     _add_common(p, "format")
     p.set_defaults(handler=cmd_profile)
 
@@ -406,9 +402,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--initial", choices=("stationary", "sesqui"),
                    default="stationary")
     p.add_argument("--m1", type=float,
-                   help=f"sesqui first-edge mass (default {_SESQUI_MASSES['m1']})")
-    p.add_argument("--m2", type=float,
-                   help=f"sesqui remaining mass (default {_SESQUI_MASSES['m2']})")
+                   help="sesqui first-edge mass; the others hold M - m1 (default M/6)")
     p.add_argument("--observe-every", dest="observe_every", type=int, default=10)
     _add_common(p, "dt", "t_final", "format")
     p.set_defaults(handler=cmd_evolve)

@@ -19,6 +19,7 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import graphnls
@@ -131,6 +132,34 @@ class TestScan:
         r = run(["scan", "bogus"] + FAST, tmp_path)
         assert r.returncode == 2
 
+    @pytest.mark.parametrize("args, message", [
+        (["sesqui", "--points", "16"],
+         "discrete sesquisoliton energies failed to increase along m1; "
+         "the grid is too coarse for this scan"),
+        (["minseq", "--m1", "1,0.9,0.8,0.7", "--points", "12", "--length", "60"],
+         "minimizing-sequence gaps failed to decrease"),
+    ], ids=["sesqui", "minseq"])
+    def test_curve_that_fails_its_shape_exits_1(self, run, tmp_path, args, message):
+        r = run(["scan"] + args, tmp_path)
+        assert r.returncode == 1
+        assert r.stderr == f"check failure: {message}\n"
+        assert not any(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("mass", ["2", "3", "12"])
+    def test_defaults_follow_the_mass(self, run, tmp_path, mass):
+        # the default ranges and the default sesquisoliton are fractions of M
+        grid = ["--mass", mass, "--points", "512", "--length", "60"]
+        for curve in ("sesqui", "dilation"):
+            assert run(["scan", curve] + grid, tmp_path).returncode == 0
+        assert run(["profile", "sesqui"] + grid, tmp_path).returncode == 0
+        path = tmp_path / "profile_sesqui.csv"
+        assert f"# config: mass={mass} " in path.read_text()
+        table = read_table(path)
+        edge, x = np.array(table["edge"]), np.array(table["x"])
+        density = np.array(table["re"]) ** 2 + np.array(table["im"]) ** 2
+        total = sum(np.trapezoid(density[edge == e], x[edge == e]) for e in range(3))
+        assert total == pytest.approx(float(mass), rel=1e-6)
+
     def test_minseq_on_a_coarse_grid_says_why(self, run, tmp_path):
         # at h = 60/255 the discrete energy at m1 = 0.02 lies 0.0093 below
         # -M^3/96: the discretization error exceeds the gap
@@ -148,13 +177,13 @@ class TestProfile:
         assert (tmp_path / "profile_stationary.csv").exists()
 
     def test_inadmissible_masses_exit_2(self, run, tmp_path):
-        r = run(["profile", "sesqui", "--m1", "3", "--m2", "1"] + FAST,
+        r = run(["profile", "sesqui", "--mass", "4", "--m1", "3"] + FAST,
                 tmp_path)
         assert r.returncode == 2
         assert "m2 >= 2*m1" in r.stderr
 
     def test_short_edge_warns_about_the_tail(self, run, tmp_path):
-        r = run(["profile", "sesqui", "--m1", "1", "--m2", "5",
+        r = run(["profile", "sesqui", "--mass", "6", "--m1", "1",
                  "--points", "64", "--length", "8"], tmp_path)
         assert r.returncode == 0
         assert "tail" in r.stderr
@@ -203,6 +232,9 @@ class TestFlow:
         summary = json.loads((tmp_path / "flow_summary.json").read_text())
         assert summary["stalled"] is True
         assert summary["stop_reason"] == "stalled"
+        # the none start reads no fraction, so its label carries none
+        assert summary["perturbation"] == "none"
+        assert r.stdout.startswith("flow (none): ")
 
     def test_underflowed_infimum_does_not_stop_the_flow(self, run, tmp_path):
         # at this mass -(0.99/96) M0^3 underflows to -0.0 and the start's
@@ -370,8 +402,8 @@ class TestBadInput:
         ["evolve", "--mass", "1e100"],
         ["evolve", "--length", "1e-160"],
         # the sesquisoliton's peak lies beyond L = 30 (offsets 835.79, 33.9)
-        ["profile", "sesqui", "--m1", "1e-308", "--m2", "3.4"],
-        ["profile", "sesqui", "--m1", "1e-12", "--m2", "3.4"],
+        ["profile", "sesqui", "--mass", "3.4", "--m1", "1e-308"],
+        ["profile", "sesqui", "--mass", "3.4", "--m1", "1e-12"],
         ["scan", "minseq", "--m1", "1e-30"],
         ["profile", "stationary", "--out", ""],
         # each scan value is checked by the family that builds its state
@@ -390,13 +422,13 @@ class TestBadInput:
         # a colon asks for a fraction, and the none start reads none
         ["flow", "--perturbation", "shift:"],
         ["flow", "--perturbation", "none:0.5"],
-        ["profile", "sesqui", "--m1", "inf", "--m2", "inf"],
+        ["profile", "sesqui", "--m1", "inf"],
         # a range flag the curve does not read
         ["scan", "dilation", "--m1", "0.5"],
         ["scan", "sesqui", "--lambda", "2"],
         ["scan", "minseq", "--lambda", "1"],
-        # --m1 and --m2 shape only the sesquisoliton
-        ["profile", "stationary", "--m1", "5", "--m2", "0.1"],
+        # --m1 shapes only the sesquisoliton
+        ["profile", "stationary", "--m1", "5"],
         ["evolve", "--initial", "stationary", "--m1", "nan", "--t-final", "0.02"],
         ["verify", "--points", "5"],
         # a --config value here is the text of the config file
@@ -512,6 +544,9 @@ class TestBadInput:
                                           ["flow"])
           for flag, value in (("--dt", "0.01"), ("--t-final", "2"), ("--seed", "3"))),
         ["evolve", "--seed", "3"],
+        # the sesquisoliton's other edges hold M - m1, so there is no --m2
+        ["profile", "sesqui", "--m2", "4"],
+        ["evolve", "--initial", "sesqui", "--m2", "4"],
     ], ids="_".join)
     def test_unread_setting_is_unrecognized(self, run, tmp_path, args):
         # each subcommand takes only the settings its run reads
@@ -715,6 +750,18 @@ class TestConfigPlumbing:
                  "--mass", "5"], tmp_path)
         assert "mass=5" in (tmp_path / "scan_sesqui.csv")\
             .read_text().splitlines()[1]
+
+    def test_config_comments_and_blank_lines_are_skipped(self, run, tmp_path):
+        (tmp_path / "plain.txt").write_text("mass = 4\npoints = 64\n")
+        (tmp_path / "commented.txt").write_text(
+            "# a comment line\nmass = 4  # a trailing comment\n\npoints = 64\n")
+        for name in ("plain", "commented"):
+            r = run(["profile", "stationary", "--config", str(tmp_path / f"{name}.txt"),
+                     "--out", name], tmp_path)
+            assert r.returncode == 0
+        text = (tmp_path / "commented" / "profile_stationary.csv").read_text()
+        assert "mass=4 " in text and "points=64 " in text
+        assert text == (tmp_path / "plain" / "profile_stationary.csv").read_text()
 
     def test_unknown_config_key_exit_2(self, run, tmp_path):
         cfg = tmp_path / "settings.txt"

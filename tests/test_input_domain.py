@@ -26,6 +26,7 @@ from graphnls import (
     GraphState,
     SesquiParams,
     best_omega,
+    comparison_sesquisoliton,
     deposit_perturbation,
     dilation_family,
     discrete_stationary_state,
@@ -220,11 +221,13 @@ LINE = GraphSpec(2, 20.0, 16)
      "the symmetric state lives on the 3-edge star"),
     (lambda: shift_perturbation(M, LINE, 0.01), DomainError,
      "shift perturbation is defined on the 3-edge star"),
+    (lambda: comparison_sesquisoliton(GraphState(LINE, np.ones((2, 16)))), DomainError,
+     "comparison construction is defined on the 3-edge star, got 2"),
     (lambda: hessian_probe(ZERO, stationary_state(M, SPEC)[0], 1e-3), DomainError,
      "probe center must have positive mass"),
 ], ids=["nan_state", "best_omega_zero", "flow_zero", "newton_mass_0", "dilation_mass_0",
         "infimum_mass_0", "sesqui_closed_mass_0", "dilation_2_edges", "shift_2_edges",
-        "hessian_zero_center"])
+        "comparison_2_edges", "hessian_zero_center"])
 def test_refused_call_names_its_check(call, error, message):
     with pytest.raises(error, match=message) as info:
         call()
