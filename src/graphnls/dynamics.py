@@ -86,14 +86,15 @@ class EvolutionConfig:
 class FlowTrace:
     """Observables sampled along a time evolution or a gradient flow.
 
-    columns is the table the trace is written as, one float64 entry per
-    sample in each column: t, mass, energy, phase, edge_mass_1..E, then
-    the extra columns (grad_norm, peak_edge and peak_coordinate for a
-    gradient flow, fixed_point_iters for an evolution).  phase[k] is
-    arg<Psi(0), Psi(t_k)> in the weighted inner product: for a standing
-    wave e^{i omega t} Phi it equals omega*t_k.  metadata holds per-run
-    facts that are not columns, such as a gradient flow's stop reason
-    and step counts; it is not written to the tables.
+    columns is the table the trace is written as: from_rows makes one
+    float64 column of each trace_row field: t, mass, energy, phase,
+    edge_mass_1..E, then the extra columns (grad_norm, peak_edge and
+    peak_coordinate for a gradient flow, fixed_point_iters for an
+    evolution).  phase[k] is arg<Psi(0), Psi(t_k)> in the weighted
+    inner product: for a standing wave e^{i omega t} Phi it equals
+    omega*t_k.  metadata holds per-run facts that are not columns, such
+    as a gradient flow's stop reason and step counts; it is not written
+    to the tables.
     """
 
     columns: dict
@@ -101,6 +102,11 @@ class FlowTrace:
 
     def __post_init__(self):
         _column_arrays(self.columns)
+
+    @classmethod
+    def from_rows(cls, rows: list, **metadata) -> "FlowTrace":
+        """The trace of samples from trace_row, each column as float64."""
+        return cls({k: np.array([r[k] for r in rows], dtype=float) for k in rows[0]}, metadata)
 
     @property
     def times(self) -> np.ndarray:
@@ -131,37 +137,16 @@ class FlowTrace:
         return drift / abs(e0) if e0 != 0.0 else drift
 
 
-class TraceRecorder:
-    """Builds a FlowTrace one sample at a time.
-
-    observe() measures a state: its mass and edge masses from one
-    edge_masses pass, and its phase against the reference state.  The
-    caller passes the energy, which it has usually computed already,
-    the edge masses em if it holds them, and any extra columns by name.
-    Samples are kept column by column and every column becomes a
-    float64 array.
-    """
-
-    def __init__(self, reference: GraphState):
-        self.reference = reference
-        self.samples = {"t": [], "mass": [], "energy": [], "phase": []}
-
-    def __len__(self) -> int:
-        return len(self.samples["t"])
-
-    def observe(self, t: float, state: GraphState, energy_total: float,
-                em: np.ndarray | None = None, **extras):
-        if em is None:
-            em = edge_masses(state)
-        row = {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
-               "phase": float(np.angle(weighted_inner(self.reference, state))),
-               **{f"edge_mass_{e + 1}": m for e, m in enumerate(em.tolist())}, **extras}
-        for name, value in row.items():
-            self.samples.setdefault(name, []).append(value)
-
-    def trace(self, **metadata) -> FlowTrace:
-        return FlowTrace({name: np.array(values, dtype=float)
-                          for name, values in self.samples.items()}, metadata)
+def trace_row(reference: GraphState, t: float, state: GraphState, energy_total: float,
+              em: np.ndarray | None = None, **extras) -> dict:
+    """One FlowTrace sample of state at time t: its mass and edge masses
+    (em, or one edge_masses pass), the caller's energy, its phase
+    arg<reference, state>, and any extra columns by name."""
+    if em is None:
+        em = edge_masses(state)
+    return {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
+            "phase": float(np.angle(weighted_inner(reference, state))),
+            **{f"edge_mass_{e + 1}": m for e, m in enumerate(em.tolist())}, **extras}
 
 
 @functools.lru_cache(maxsize=8)
@@ -257,7 +242,7 @@ def step_crank_nicolson(
 
 
 def evolve(state: GraphState, config: EvolutionConfig):
-    """March the state to t_final, recording a FlowTrace along the way.
+    """March the state to t_final; returns it and the FlowTrace of its trace_row samples.
 
     The number of steps is config.steps = round(t_final/|dt|).
     Non-vertex-continuous input is projected to its vertex mean once at
@@ -279,9 +264,8 @@ def evolve(state: GraphState, config: EvolutionConfig):
     """
     n_steps = config.steps
     spec = state.spec
-    current = GraphState(spec, _symmetrized(state.values))
-    recorder = TraceRecorder(current)
-    recorder.observe(0.0, current, energy(current).total, fixed_point_iters=0)
+    initial = current = GraphState(spec, _symmetrized(state.values))
+    samples = [trace_row(initial, 0.0, current, energy(current).total, fixed_point_iters=0)]
     solver = _Arrowhead(spec, -2j / config.dt)
     # a step keeps an edge-symmetric state so
     rows = 1 if _edge_symmetric(current.values) else spec.edge_count
@@ -303,10 +287,10 @@ def evolve(state: GraphState, config: EvolutionConfig):
             raise GraphNLSError(f"step {k}: {exc}") from None
         past = [current.values[:rows], *past[:5]]
         if k % config.observe_every == 0 or k == n_steps:
-            recorder.observe(k * config.dt, current, energy(current).total,
-                             fixed_point_iters=solver.solves - recorded_solves)
+            samples.append(trace_row(initial, k * config.dt, current, energy(current).total,
+                                     fixed_point_iters=solver.solves - recorded_solves))
             recorded_solves = solver.solves
-    return current, recorder.trace()
+    return current, FlowTrace.from_rows(samples)
 
 
 def measure_omega(trace: FlowTrace) -> float:

@@ -52,7 +52,7 @@ from .profiles import (
     solve_offset,
     stationary_state,
 )
-from .dynamics import TraceRecorder
+from .dynamics import FlowTrace, trace_row
 
 # Finite-difference steps, and the spline nodes per edge of a random state.
 _SESQUI_TANGENT_DELTA = 0.1
@@ -356,10 +356,10 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     edges, a line, the soliton attains -M^3/96, and the rule stops the
     run short of it.
 
-    Each recorded state costs one energy_gradient, shared with
-    best_omega, and one edge_masses pass, which gives M0 or best_omega's
-    mass and the recorded masses; each step costs one resolvent solve,
-    and each trial step one rescale_mass and one energy.
+    Each trace_row (the start or an accepted state) costs one
+    energy_gradient, shared with best_omega, and one edge_masses pass,
+    which gives M0 or best_omega's mass and the row's masses; a step
+    costs one resolvent solve, a trial step one rescale_mass and energy.
 
     Returns (last accepted state, FlowTrace) at every stop; the trace's
     extra columns record the projected gradient norm and the position
@@ -392,7 +392,7 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
     N = spec.points_per_edge
     resolvent = _Arrowhead(spec, state0.values.dtype.type(1.0))
 
-    recorder = TraceRecorder(state0)
+    rows = []
     rejected = 0
     stalled = False
 
@@ -404,8 +404,8 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
         r = g.values + best_omega(st, g, m) * st.values
         pg = float(np.sqrt((w * np.abs(r) ** 2).sum()))
         flat = int(np.argmax(np.abs(st.values)))
-        recorder.observe(it, st, e_total, em, grad_norm=pg,
-                         peak_edge=flat // N, peak_coordinate=(flat % N) * h)
+        rows.append(trace_row(state0, it, st, e_total, em, grad_norm=pg,
+                              peak_edge=flat // N, peak_coordinate=(flat % N) * h))
         return r, m, pg, g
 
     # a trial that overflows is rejected below, so numpy stays silent;
@@ -443,8 +443,8 @@ def gradient_flow_fixed_mass(state0: GraphState, step: float, max_iters: int,
         reason = "near_infimum"
     else:
         reason = "stalled" if stalled else "max_iters"
-    return current, recorder.trace(stop_reason=reason, accepted_steps=len(recorder) - 1,
-                                   rejected_steps=rejected, final_step=s)
+    return current, FlowTrace.from_rows(rows, stop_reason=reason, accepted_steps=len(rows) - 1,
+                                        rejected_steps=rejected, final_step=s)
 
 
 def shift_perturbation(M: float, spec: GraphSpec, fraction: float) -> GraphState:
