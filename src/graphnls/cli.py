@@ -2,13 +2,12 @@
 
 One binary with subcommands.  Precedence for settings: command-line
 flags, then the GRAPHNLS_OUT environment variable (output directory
-only), then a `--config` file of flat `key = value` lines, then the
-built-in defaults.  Outputs are deterministic for a fixed config and
-seed: no timestamps, 17 significant digits, sorted JSON keys.  The one
-exception is the wall time of each criterion in verify_report.json's
-"criteria" list, which verify also prints to stderr.
+only), then RunConfig's defaults.  Outputs are deterministic for fixed
+settings and seed: no timestamps, 17 significant digits, sorted JSON
+keys.  The one exception is the wall time of each criterion in
+verify_report.json's "criteria" list, which verify also prints to stderr.
 
-Exit codes: 0 success, 1 check or run failure, 2 usage/config error.
+Exit codes: 0 success, 1 check or run failure, 2 usage error.
 A failure from outside the program (the OS, decoding, allocation)
 becomes a DomainError, so exit 2, through one translator: _domain_errors.
 """
@@ -88,33 +87,9 @@ def _domain_errors(kinds, what: str):
         raise DomainError(f"{what}: {exc}") from exc
 
 
-def _load_config_file(path: str) -> dict:
-    values = {}
-    # ValueError: a file that is not UTF-8, or a NUL byte in the path
-    with (_domain_errors((OSError, ValueError), "cannot read config file"),
-          open(path, encoding="utf-8") as fh):
-        text = fh.read()
-    for raw in text.splitlines():
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        key, sep, value = line.partition("=")
-        if not sep:
-            raise DomainError(f"bad config line (expected key = value): {raw!r}")
-        key = key.strip().replace("-", "_")
-        if key not in _CASTS:
-            raise DomainError(f"unknown config key: {key}")
-        try:
-            values[key] = _CASTS[key](value.strip())
-        except ValueError as exc:
-            raise DomainError(f"bad value for {key}: {value.strip()!r}") from exc
-    return values
-
-
 def _resolve_config(args: argparse.Namespace) -> RunConfig:
-    values = {} if args.config is None else _load_config_file(args.config)
-    if env_out := os.environ.get("GRAPHNLS_OUT"):
-        values["out"] = env_out
+    env_out = os.environ.get("GRAPHNLS_OUT")
+    values = {"out": env_out} if env_out else {}
     values.update((k, v) for k, v in vars(args).items() if k in _CASTS and v is not None)
     config = RunConfig(**values)
     config.validate()
@@ -343,16 +318,16 @@ def cmd_evolve(config: RunConfig, args: argparse.Namespace) -> int:
 
 
 def _add_common(parser: argparse.ArgumentParser, *settings: str) -> None:
-    """--mass, --length, --points, --out, --config and the given settings.
-    Type, help and the default the help shows come from RunConfig; each
-    flag itself defaults to None, so an unset flag keeps a config file's value."""
+    """--mass, --length, --points, --out and the given settings.  Type,
+    help and the default the help shows come from RunConfig; each flag
+    itself defaults to None, so an unset flag keeps RunConfig's default
+    (for --out, GRAPHNLS_OUT's directory if it is set)."""
     for f in fields(RunConfig):
         if f.name in ("mass", "length", "points", "out", *settings):
             parser.add_argument("--" + f.name.replace("_", "-"), dest=f.name,
                                 type=_CASTS[f.name],
                                 choices=("csv", "json") if f.name == "format" else None,
                                 help=f"{f.metadata['help']} (default {f.default})")
-    parser.add_argument("--config", help="flat key = value settings file")
 
 
 def build_parser() -> argparse.ArgumentParser:

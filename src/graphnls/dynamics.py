@@ -146,7 +146,13 @@ def trace_row(reference: GraphState, t: float, state: GraphState, energy_total: 
         em = edge_masses(state)
     return {"t": float(t), "mass": float(em.sum()), "energy": energy_total,
             "phase": float(np.angle(weighted_inner(reference, state))),
-            **{f"edge_mass_{e + 1}": m for e, m in enumerate(em.tolist())}, **extras}
+            **dict(zip(_edge_mass_names(len(em)), em.tolist())), **extras}
+
+
+@functools.lru_cache(maxsize=8)
+def _edge_mass_names(edge_count: int) -> tuple:
+    """The edge_mass_1..E column names: one tuple per edge count, shared by every row."""
+    return tuple(f"edge_mass_{e + 1}" for e in range(edge_count))
 
 
 @functools.lru_cache(maxsize=8)

@@ -366,9 +366,6 @@ class TestBadInput:
     # the message of each check that only its case below reaches
     MESSAGES = {
         "verify_--points_5": "battery needs at least 8 points per edge",
-        "scan_sesqui_--config_format = xml": "format must be csv or json",
-        "scan_sesqui_--config_points": "bad config line",
-        "scan_sesqui_--config_points = many": "bad value for points",
         "scan_sesqui_--m1_0.1:1": "expected start:stop:count",
         "scan_sesqui_--m1_0.1:1:0": "count must be >= 1",
         "evolve_--observe-every_0": "observe_every must be >= 1",
@@ -436,23 +433,13 @@ class TestBadInput:
         ["profile", "stationary", "--m1", "5"],
         ["evolve", "--initial", "stationary", "--m1", "nan", "--t-final", "0.02"],
         ["verify", "--points", "5"],
-        # a --config value here is the text of the config file
-        ["scan", "sesqui", "--config", "format = xml"],
-        ["scan", "sesqui", "--config", "points"],
-        ["scan", "sesqui", "--config", "points = many"],
         ["scan", "sesqui", "--m1", "0.1:1"],
         ["scan", "sesqui", "--m1", "0.1:1:0"],
         ["evolve", "--observe-every", "0"],
         ["flow", "--max-iters", "-1"],
     ], ids="_".join)
-    def test_exit_2_with_a_message(self, run, tmp_path, tmp_path_factory, args):
+    def test_exit_2_with_a_message(self, run, tmp_path, args):
         message = self.MESSAGES.get("_".join(args), "")
-        if "--config" in args:
-            # written outside the run's directory, which must stay empty
-            at = args.index("--config") + 1
-            cfg = tmp_path_factory.mktemp("config") / "settings.txt"
-            cfg.write_text(args[at] + "\n")
-            args = args[:at] + [str(cfg)] + args[at + 1:]
         # a numpy warning on the way to the error would be printed
         # before it, so warnings fail the run here; a case's own
         # --points comes after the default 64, so it wins
@@ -537,7 +524,7 @@ class TestBadInput:
         assert not any(tmp_path.iterdir())
 
     def test_edges_flag_is_unrecognized(self, run, tmp_path):
-        # the star has three edges; there is no --edges flag or key
+        # the star has three edges; there is no --edges flag
         r = run(["verify", "--edges", "4", "--points", "64"], tmp_path)
         assert r.returncode == 2
         assert "unrecognized arguments: --edges 4" in r.stderr
@@ -552,6 +539,9 @@ class TestBadInput:
         # the sesquisoliton's other edges hold M - m1, so there is no --m2
         ["profile", "sesqui", "--m2", "4"],
         ["evolve", "--initial", "sesqui", "--m2", "4"],
+        # there is no settings file either
+        ["scan", "sesqui", "--config", "settings.txt"],
+        ["verify", "--config", "settings.txt"],
     ], ids="_".join)
     def test_unread_setting_is_unrecognized(self, run, tmp_path, args):
         # each subcommand takes only the settings its run reads
@@ -753,78 +743,8 @@ class TestConfigPlumbing:
         assert (tmp_path / "flagout" / "scan_sesqui.csv").exists()
         assert not (tmp_path / "envout").exists()
 
-    def test_env_var_beats_config_file(self, run, tmp_path, monkeypatch):
-        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
-        cfg = tmp_path / "settings.txt"
-        cfg.write_text("out = cfgout\n")
-        r = run(["scan", "sesqui", "--m1", "1.0", "--config", str(cfg)] + FAST,
-                tmp_path)
-        assert r.returncode == 0
-        assert (tmp_path / "envout" / "scan_sesqui.csv").exists()
-        assert not (tmp_path / "cfgout").exists()
-
-    def test_flags_beat_env_var_beats_config_file(self, run, tmp_path, monkeypatch):
-        # --mass 6 is the default, and a flag equal to its default still
-        # beats the file's value
-        monkeypatch.setenv("GRAPHNLS_OUT", "envout")
-        cfg = tmp_path / "settings.txt"
-        cfg.write_text("mass = 4\npoints = 128\nout = cfgout\n")
-        r = run(["scan", "sesqui", "--m1", "0.5", "--config", str(cfg),
-                 "--points", "64", "--mass", "6"], tmp_path)
-        assert r.returncode == 0
-        header = (tmp_path / "envout" / "scan_sesqui.csv").read_text().splitlines()[1]
-        assert "mass=6 " in header and "points=64 " in header
-        assert not (tmp_path / "cfgout").exists()
-
-    def test_config_file_and_flag_precedence(self, run, tmp_path):
-        cfg = tmp_path / "settings.txt"
-        cfg.write_text("mass = 4\npoints = 128\nlength = 20\n")
-        r = run(["scan", "sesqui", "--m1", "0.5", "--config", str(cfg)],
-                tmp_path)
-        assert r.returncode == 0
-        header = (tmp_path / "scan_sesqui.csv").read_text().splitlines()[1]
-        assert "mass=4" in header
-        r = run(["scan", "sesqui", "--m1", "0.5", "--config", str(cfg),
-                 "--mass", "5"], tmp_path)
-        assert "mass=5" in (tmp_path / "scan_sesqui.csv")\
-            .read_text().splitlines()[1]
-
-    def test_config_comments_and_blank_lines_are_skipped(self, run, tmp_path):
-        (tmp_path / "plain.txt").write_text("mass = 4\npoints = 64\n")
-        (tmp_path / "commented.txt").write_text(
-            "# a comment line\nmass = 4  # a trailing comment\n\npoints = 64\n")
-        for name in ("plain", "commented"):
-            r = run(["profile", "stationary", "--config", str(tmp_path / f"{name}.txt"),
-                     "--out", name], tmp_path)
-            assert r.returncode == 0
-        text = (tmp_path / "commented" / "profile_stationary.csv").read_text()
-        assert "mass=4 " in text and "points=64 " in text
-        assert text == (tmp_path / "plain" / "profile_stationary.csv").read_text()
-
-    def test_unknown_config_key_exit_2(self, run, tmp_path):
-        cfg = tmp_path / "settings.txt"
-        cfg.write_text("volume = 11\n")
-        r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
-        assert r.returncode == 2
-        assert "unknown config key" in r.stderr
-
-    def test_config_file_not_utf8_exit_2(self, run, tmp_path):
-        cfg = tmp_path / "settings.txt"
-        cfg.write_bytes(b"mass = 6\n\xff\xfe points = 64\n")
-        r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: cannot read config file: ")
-
-    def test_config_path_with_a_nul_byte_exit_2(self, run, tmp_path):
-        r = run(["scan", "sesqui", "--config", "bad\0path"] + FAST, tmp_path)
-        assert r.returncode == 2
-        assert r.stderr.startswith("error: cannot read config file: ")
-        assert list(tmp_path.iterdir()) == []
-
     def test_out_with_a_nul_byte_exit_2(self, run, tmp_path):
-        cfg = tmp_path / "settings.txt"
-        cfg.write_text("out = x\0y\n")
-        r = run(["scan", "sesqui", "--config", str(cfg)] + FAST, tmp_path)
+        r = run(["scan", "sesqui", "--out", "x\0y"] + FAST, tmp_path)
         assert r.returncode == 2
         assert r.stderr.startswith("error: cannot write output: ")
 
